@@ -77,77 +77,14 @@ sim::Task<void> shm_gather_phase1(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
-// NUMA-aware two-stage phase 1 (Sec. 7 future work): MHA-intra within each
-// socket (no UPI traffic), then socket leaders exchange socket blocks via
-// shared memory — each remote-socket byte crosses UPI once (the leader's
-// copy-in) instead of once per reading process.
-sim::Task<void> numa_phase1(mpi::Comm& comm, int my, hw::BufView send,
-                            hw::BufView node_slice, std::size_t msg,
-                            bool in_place, int node, int local, int l,
-                            std::uint64_t seq, double offload) {
-  auto& cl = comm.cluster();
-  const int sockets = cl.sockets();
-  const int socket = cl.socket_of_local(local);
-  const int s0 = cl.socket_first_local(socket);
-  const int ssz = cl.socket_size(socket);
-  const std::size_t socket_block = static_cast<std::size_t>(ssz) * msg;
-
-  // Stage A: intra-socket MHA-intra into my socket's block of the slice.
-  auto& scomm = comm.world().socket_comm(node, socket);
-  co_await allgather_mha_intra(
-      scomm, local - s0, send,
-      node_slice.sub(static_cast<std::size_t>(s0) * msg, socket_block), msg,
-      in_place, offload);
-  if (sockets == 1) co_return;
-
-  // Stage B: every remote-socket byte must cross the UPI link exactly
-  // once. Socket leaders publish the address of their completed slice,
-  // then each leader *pulls* the other sockets' blocks into a segment
-  // homed on its own socket; its members copy out locally.
-  auto region = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, 5 + socket), ssz, [&] {
-        return std::make_shared<shm::ShmRegion>(
-            cl, node, static_cast<std::size_t>(l) * msg, comm.sink(),
-            cl.global_rank(node, s0));
-      });
-  if (local == s0) {  // socket leader
-    // Only leaders participate in the address exchange (parties =
-    // sockets); acquiring it from every rank would recycle the entry.
-    auto board = comm.share().acquire<AddressBoard>(
-        node, op_key(comm.ctx(), seq, 4), sockets, [&] {
-          return std::make_shared<AddressBoard>(comm.engine(), sockets);
-        });
-    co_await board->put_and_wait(socket, node_slice);
-    for (int o = 1; o < sockets; ++o) {
-      const int other = (socket + o) % sockets;
-      const int of = cl.socket_first_local(other);
-      const std::size_t off = static_cast<std::size_t>(of) * msg;
-      const std::size_t len =
-          static_cast<std::size_t>(cl.socket_size(other)) * msg;
-      co_await region->copy_in_publish(comm.to_global(my),
-                                       board->view(other).sub(off, len), off,
-                                       cl.global_rank(node, of));
-      // The leader's own recv slice gets the block from the local segment.
-      hw::copy_payload(node_slice.sub(off, len), region->view(off, len));
-    }
-  }
-  for (int k = 0; k + 1 < sockets; ++k) {
-    co_await region->wait_published(static_cast<std::size_t>(k) + 1);
-    if (local == s0) continue;  // leader filled its slice while pulling
-    const auto c = region->chunk(static_cast<std::size_t>(k));
-    co_await region->copy_out(comm.to_global(my), static_cast<std::size_t>(k),
-                              node_slice.sub(c.offset, c.len));
-  }
-}
-
-// Generic n-level phase 1: the numa_phase1 pattern applied stage by stage
-// to an arbitrary nested partition of the node's local ranks (NodePlan).
-// Stage 0 runs MHA-intra inside each innermost group; every later stage
-// has the previous stage's group leaders pull their sibling groups' blocks
-// through a shared-memory segment homed on their own group, so each
-// inter-group byte crosses the group boundary (UPI on socket stages)
-// exactly once. Group spans may be uneven; singleton groups degenerate to
-// a seeding copy at stage 0 and to pure drains later.
+// Staged phase 1 over a nested partition of the node's local ranks
+// (NodePlan). Stage 0 runs MHA-intra inside each innermost group; every
+// later stage has the previous stage's group leaders publish their slice
+// addresses, then pull their sibling groups' blocks into a shared-memory
+// segment homed on their own group, so each inter-group byte crosses the
+// group boundary (UPI on socket stages) exactly once; members copy out
+// locally. Group spans may be uneven; singleton groups degenerate to a
+// seeding copy at stage 0 and to pure drains later.
 sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
                             hw::BufView node_slice, std::size_t msg,
                             bool in_place, int node, int local, int l,
@@ -245,6 +182,11 @@ sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
+// A plan that is one MHA-intra over the whole node (no staging).
+bool single_stage(const NodePlan* plan) {
+  return plan == nullptr || plan->stages.size() <= 1;
+}
+
 // Leader-side phase 2+3: Ring variant (legacy phase-sequential path).
 sim::Task<void> leader_ring(mpi::Comm& lcomm, int node, hw::BufView recv,
                             std::size_t chunk, shm::ShmRegion* region,
@@ -340,31 +282,17 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
   // analyzer's attribution and the phase-2/3 overlap-fraction report.
   auto p1 = sink.open(comm.to_global(my), trace::Kind::kPhase, eng.now(), -1,
                       msg, "phase1");
-  if (l > 1 && opts.plan != nullptr) {
+  if (l == 1) {
+    co_await coll::seed_own_block(comm, my, send, recv, msg, in_place);
+  } else if (opts.phase1 == Phase1Mode::kShmGather) {
+    co_await shm_gather_phase1(comm, my, send, node_slice, msg, in_place, node,
+                               local, l, seq);
+  } else if (single_stage(opts.plan)) {
+    co_await allgather_mha_intra(comm.world().node_comm(node), local, send,
+                                 node_slice, msg, in_place, opts.offload);
+  } else {
     co_await plan_phase1(comm, my, send, node_slice, msg, in_place, node,
                          local, l, *opts.plan, opts.offload);
-  } else if (l > 1) {
-    auto& ncomm = comm.world().node_comm(node);
-    switch (opts.phase1) {
-      case Phase1Mode::kMhaIntra:
-        co_await allgather_mha_intra(ncomm, local, send, node_slice, msg,
-                                     in_place, opts.offload);
-        break;
-      case Phase1Mode::kCmaDirect:
-        co_await allgather_mha_intra(ncomm, local, send, node_slice, msg,
-                                     in_place, /*offload=*/0);
-        break;
-      case Phase1Mode::kShmGather:
-        co_await shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
-                                   node, local, l, seq);
-        break;
-      case Phase1Mode::kNumaTwoLevel:
-        co_await numa_phase1(comm, my, send, node_slice, msg, in_place, node,
-                             local, l, seq, opts.offload);
-        break;
-    }
-  } else {
-    co_await coll::seed_own_block(comm, my, send, recv, msg, in_place);
   }
   p1.close(eng.now());
   if (n == 1) co_return;
@@ -435,9 +363,25 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
   coll::RangeProducers prod;
 
   // ---- Phase 1 tasks ----
-  if (l > 1 && opts.plan != nullptr) {
-    // Like kNumaTwoLevel: the staged intra-node exchange is data-driven,
-    // so it stays one macro task; phase 2 streams against other leaders.
+  if (l > 1 && opts.phase1 == Phase1Mode::kShmGather) {
+    // Publication order of the gather is data-driven, so it stays one
+    // macro task (faithful to the double-copy baseline it models); phase 2
+    // streams against *other* leaders' finer-grained work.
+    const int t = g.add(
+        coll::TaskKind::kWrapped, coll::Lane::kNone,
+        [&comm, my, send, node_slice, msg, in_place, node, local, l, seq] {
+          return shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
+                                   node, local, l, seq);
+        },
+        coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
+    prod.add(nbase, chunk, t);
+  } else if (l > 1 && single_stage(opts.plan)) {
+    build_mha_intra_tasks(g, prod, nbase, comm.world().node_comm(node), local,
+                          send, node_slice, msg, in_place, opts.offload,
+                          "phase1");
+  } else if (l > 1) {
+    // The staged intra-node exchange is data-driven, so it stays one macro
+    // task; phase 2 streams against other leaders.
     const NodePlan* plan = opts.plan;
     const double off = opts.offload;
     const int t = g.add(
@@ -449,46 +393,6 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
         },
         coll::TaskOpts{"nlevel", "phase1", -1, chunk, -1, -1});
     prod.add(nbase, chunk, t);
-  } else if (l > 1) {
-    auto& ncomm = comm.world().node_comm(node);
-    switch (opts.phase1) {
-      case Phase1Mode::kMhaIntra:
-        build_mha_intra_tasks(g, prod, nbase, ncomm, local, send, node_slice,
-                              msg, in_place, opts.offload, "phase1");
-        break;
-      case Phase1Mode::kCmaDirect:
-        build_mha_intra_tasks(g, prod, nbase, ncomm, local, send, node_slice,
-                              msg, in_place, /*offload=*/0.0, "phase1");
-        break;
-      case Phase1Mode::kShmGather: {
-        // Publication order of the gather is data-driven, so it stays one
-        // macro task (faithful to the double-copy baseline it models);
-        // phase 2 streams against *other* leaders' finer-grained work.
-        const int t = g.add(
-            coll::TaskKind::kWrapped, coll::Lane::kNone,
-            [&comm, my, send, node_slice, msg, in_place, node, local, l,
-             seq] {
-              return shm_gather_phase1(comm, my, send, node_slice, msg,
-                                       in_place, node, local, l, seq);
-            },
-            coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
-        prod.add(nbase, chunk, t);
-        break;
-      }
-      case Phase1Mode::kNumaTwoLevel: {
-        const double off = opts.offload;
-        const int t = g.add(
-            coll::TaskKind::kWrapped, coll::Lane::kNone,
-            [&comm, my, send, node_slice, msg, in_place, node, local, l, seq,
-             off] {
-              return numa_phase1(comm, my, send, node_slice, msg, in_place,
-                                 node, local, l, seq, off);
-            },
-            coll::TaskOpts{"numa2", "phase1", -1, chunk, -1, -1});
-        prod.add(nbase, chunk, t);
-        break;
-      }
-    }
   } else if (!in_place && msg > 0) {
     const int t = g.add(
         coll::TaskKind::kCopy, coll::Lane::kCpu,
@@ -705,50 +609,5 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
         });
   }
 }
-
-#ifndef HMCA_STRICT_API
-// Deprecated shim definitions. Defining a [[deprecated]] entity is legal,
-// but some toolchains still flag it under -Werror; silence locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-sim::Task<void> allgather_mha_inter(mpi::Comm& comm, int my, hw::BufView send,
-                                    hw::BufView recv, std::size_t msg,
-                                    bool in_place) {
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place,
-                                  HierOptions{});
-}
-
-sim::Task<void> allgather_mha_inter_barrier(mpi::Comm& comm, int my,
-                                            hw::BufView send, hw::BufView recv,
-                                            std::size_t msg, bool in_place) {
-  HierOptions opts;
-  opts.overlap = false;
-  opts.streaming = false;
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, opts);
-}
-
-sim::Task<void> allgather_single_leader(mpi::Comm& comm, int my,
-                                        hw::BufView send, hw::BufView recv,
-                                        std::size_t msg, bool in_place) {
-  HierOptions opts;
-  opts.phase1 = Phase1Mode::kShmGather;
-  opts.phase2 = coll::is_power_of_two(comm.cluster().nodes())
-                    ? Phase2Algo::kRD
-                    : Phase2Algo::kRing;
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, opts);
-}
-
-sim::Task<void> allgather_numa3(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, std::size_t msg,
-                                bool in_place) {
-  HierOptions opts;
-  opts.phase1 = comm.cluster().sockets() > 1 ? Phase1Mode::kNumaTwoLevel
-                                             : Phase1Mode::kMhaIntra;
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, opts);
-}
-
-#pragma GCC diagnostic pop
-#endif  // HMCA_STRICT_API
 
 }  // namespace hmca::core

@@ -2,8 +2,9 @@
 //
 // Three phases, with phases 2 and 3 overlapped through a shared-memory
 // region and per-chunk ready counters (Fig. 6):
-//   1. node-level aggregation (MHA-intra, CMA Direct Spread, or a plain
-//      shared-memory gather),
+//   1. node-level aggregation: MHA-intra staged over a NodePlan (one
+//      stage for the paper's flat node, a socket stage first for the
+//      Sec. 7 NUMA design), or a plain shared-memory gather,
 //   2. inter-leader exchange of M*L node blocks over all rails, using
 //      Recursive Doubling or Ring (Fig. 7),
 //   3. node-level distribution: the leader copies each arriving chunk into
@@ -25,14 +26,10 @@
 namespace hmca::core {
 
 enum class Phase1Mode {
-  kMhaIntra,      ///< Sec. 3.1 design: CMA + HCA-offloaded direct spread
-  kCmaDirect,     ///< plain CMA direct spread (MHA-intra with d = 0)
-  kShmGather,     ///< double-copy shared-memory gather (Mamidala-style)
-  /// NUMA-aware two-stage aggregation (Sec. 7 future work): MHA-intra
-  /// within each socket (no UPI traffic), then socket leaders exchange
-  /// socket blocks through shared memory — each remote-socket byte crosses
-  /// the UPI link once instead of once per reader.
-  kNumaTwoLevel,
+  /// Sec. 3.1 design: CMA + HCA-offloaded direct spread, staged over
+  /// HierOptions::plan. Plain CMA direct spread is this with offload = 0.
+  kMhaIntra,
+  kShmGather,  ///< double-copy shared-memory gather (Mamidala-style)
 };
 
 enum class Phase2Algo {
@@ -45,14 +42,14 @@ enum class Phase2Algo {
 /// core/hierarchy.hpp from a resolved HierarchySpec. Each stage partitions
 /// the node's local ranks into contiguous groups: stage k's `firsts` lists
 /// the first local rank of every group, ascending and starting at 0 (the
-/// final boundary, ppn, is implicit). Stages run innermost to outermost —
-/// MHA-intra inside each innermost group, then, per stage, the previous
-/// stage's group leaders pull their sibling groups' blocks through a
-/// shared-memory segment homed on their own group (one inter-group
-/// crossing per byte, the numa_phase1 pattern generalized to uneven
-/// spans). Depth-2 specs and the even-socket depth-3 spec never carry a
-/// plan — they map onto kMhaIntra / kNumaTwoLevel and stay byte-identical
-/// to the historical paths.
+/// final boundary, ppn, is implicit); the outermost stage is always the
+/// whole node, {0}. Stages run innermost to outermost — MHA-intra inside
+/// each innermost group, then, per stage, the previous stage's group
+/// leaders pull their sibling groups' blocks through a shared-memory
+/// segment homed on their own group, so each inter-group byte (UPI on a
+/// socket stage) crosses the group boundary once. A single-stage plan is
+/// the paper's flat node: one MHA-intra over the node communicator,
+/// lowered to native chunk tasks in streaming mode.
 struct NodePlan {
   std::vector<std::vector<int>> stages;  ///< innermost -> outermost
 };
@@ -60,9 +57,10 @@ struct NodePlan {
 struct HierOptions {
   Phase1Mode phase1 = Phase1Mode::kMhaIntra;
   Phase2Algo phase2 = Phase2Algo::kAuto;
-  /// Generic n-level phase 1; overrides `phase1` when non-null. Not owned:
-  /// the caller keeps it alive across the collective (core/hierarchy.hpp
-  /// owns it in the coroutine frame of allgather_hierarchy).
+  /// Intra-node staging of the kMhaIntra phase 1; nullptr is the
+  /// whole-node single-stage plan. Not owned: the caller keeps it alive
+  /// across the collective (core/hierarchy.hpp owns it in the coroutine
+  /// frame of allgather_hierarchy).
   const NodePlan* plan = nullptr;
   /// Overlap phase 3 with phase 2 (the paper's design). false gives the
   /// strict phase separation of Kandalla et al. — the ablation baseline.
@@ -98,51 +96,5 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
                                        hw::BufView send, hw::BufView recv,
                                        std::size_t msg, bool in_place = false,
                                        HierOptions opts = {});
-
-#ifndef HMCA_STRICT_API
-// ---- Deprecated compatibility shims ----
-//
-// The free-function family below predates the declarative hierarchy API
-// (core/hierarchy.hpp). Each is a one-line forwarding shim kept so existing
-// out-of-tree callers and the historical registry names stay source-
-// compatible; new code should pass a HierarchySpec to allgather_hierarchy
-// (or configure HierOptions on allgather_hierarchical directly). Excluded
-// entirely under -DHMCA_STRICT_API=ON — the CI job that keeps in-tree code
-// off the old names. The registry entries ("mha_inter", "numa3", ...) do
-// not go through these shims and keep working in strict builds.
-
-/// The paper's MHA-inter: hierarchical with MHA-intra phase 1, model-tuned
-/// phase 2, overlap on.
-[[deprecated("use allgather_hierarchy with HierarchySpec::mha()")]]
-sim::Task<void> allgather_mha_inter(mpi::Comm& comm, int my, hw::BufView send,
-                                    hw::BufView recv, std::size_t msg,
-                                    bool in_place = false);
-
-/// MHA-inter with the dataflow pipeline disabled *and* strict phase
-/// barriers (overlap off): phases 1, 2 and 3 run back to back.
-[[deprecated(
-    "use allgather_hierarchical with overlap=false, streaming=false")]]
-sim::Task<void> allgather_mha_inter_barrier(mpi::Comm& comm, int my,
-                                            hw::BufView send, hw::BufView recv,
-                                            std::size_t msg,
-                                            bool in_place = false);
-
-/// Mamidala et al. [19] single-leader baseline: shm gather, RD inter-leader
-/// exchange, overlapped distribution.
-[[deprecated("use allgather_hierarchical with Phase1Mode::kShmGather")]]
-sim::Task<void> allgather_single_leader(mpi::Comm& comm, int my,
-                                        hw::BufView send, hw::BufView recv,
-                                        std::size_t msg,
-                                        bool in_place = false);
-
-/// The 3-level NUMA-aware design the paper proposes as future work
-/// (Sec. 7): intra-socket MHA-intra, inter-socket exchange via shared
-/// memory, inter-node leader exchange overlapped with distribution.
-[[deprecated(
-    "use allgather_hierarchy with HierarchySpec::derive(spec, 3)")]]
-sim::Task<void> allgather_numa3(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, std::size_t msg,
-                                bool in_place = false);
-#endif  // HMCA_STRICT_API
 
 }  // namespace hmca::core

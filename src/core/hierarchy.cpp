@@ -8,8 +8,9 @@
 #include <utility>
 
 #include "coll/bcast.hpp"
+#include "coll/phase_span.hpp"
 #include "core/hier_detail.hpp"
-#include "core/mha_rooted.hpp"
+#include "obs/names.hpp"
 #include "osu/env.hpp"
 #include "perf/json.hpp"
 #include "shm/shm.hpp"
@@ -70,6 +71,40 @@ void check_transport(const HierLevel& lv, bool innermost, bool cluster,
   if (!ok) {
     fail(std::string("hierarchy: transport '") + to_string(lv.transport) +
          "' is not valid on the " + to_string(lv.kind) + " level");
+  }
+}
+
+// One shared-memory hop of the bcast cascade: the hop's source publishes
+// the payload in pipeline chunks and every other party copies each chunk
+// out as it lands. A non-leader root already holds the payload, so it only
+// drains the publications (keeping the shared object's lifetime
+// SPMD-consistent).
+sim::Task<void> cascade_hop(mpi::Comm& comm, int my, int root, int node,
+                            std::uint64_t key, int parties, int home_local,
+                            bool source, hw::BufView data,
+                            std::size_t pipeline_chunk) {
+  auto& cl = comm.cluster();
+  const int grank = comm.to_global(my);
+  const std::size_t chunks = (data.len + pipeline_chunk - 1) / pipeline_chunk;
+  auto region = comm.share().acquire<shm::ShmRegion>(
+      node, key, parties, [&] {
+        return std::make_shared<shm::ShmRegion>(
+            cl, node, data.len, comm.sink(), cl.global_rank(node, home_local));
+      });
+  if (source) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t off = c * pipeline_chunk;
+      const std::size_t len = std::min(pipeline_chunk, data.len - off);
+      co_await region->copy_in_publish(grank, data.sub(off, len), off);
+    }
+  } else if (my == root) {
+    co_await region->wait_published(chunks);
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) {
+      co_await region->wait_published(c + 1);
+      const auto ch = region->chunk(c);
+      co_await region->copy_out(grank, c, data.sub(ch.offset, ch.len));
+    }
   }
 }
 
@@ -343,10 +378,10 @@ sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
                                     HierarchyOptions opts) {
   const Hierarchy h(std::move(spec), comm.cluster());
   const auto& levels = h.spec().levels;
-  const HierLevel& inner = levels.front();
-  const int depth = h.depth();
+  const NodePlan plan = h.node_plan();
 
   HierOptions o;
+  o.plan = &plan;
   o.overlap = opts.overlap;
   o.streaming = opts.streaming;
   o.offload = opts.offload;
@@ -361,31 +396,15 @@ sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
       o.phase2 = opts.phase2;
       break;
   }
-
-  // Map the intra-node side onto the engine. Depth-2 and the depth-3
-  // socket hierarchy take the historical Phase1Mode paths (the latter
-  // handles uneven socket spans natively); everything else runs the
-  // generic staged plan.
-  NodePlan plan;
-  if (depth == 2) {
-    switch (inner.transport) {
-      case LevelTransport::kCma:
-        o.phase1 = Phase1Mode::kCmaDirect;
-        break;
-      case LevelTransport::kShm:
-        o.phase1 = Phase1Mode::kShmGather;
-        break;
-      default:
-        o.phase1 = Phase1Mode::kMhaIntra;
-        break;
-    }
-  } else if (depth == 3 && inner.kind == LevelKind::kSocket) {
-    o.phase1 = Phase1Mode::kNumaTwoLevel;
-    if (inner.transport == LevelTransport::kCma) o.offload = 0;
-  } else {
-    plan = h.node_plan();
-    o.plan = &plan;
-    if (inner.transport == LevelTransport::kCma) o.offload = 0;
+  switch (levels.front().transport) {  // innermost level picks phase 1
+    case LevelTransport::kShm:  // depth 2 only: the single-leader gather
+      o.phase1 = Phase1Mode::kShmGather;
+      break;
+    case LevelTransport::kCma:
+      o.offload = 0;
+      break;
+    default:
+      break;
   }
   co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, o);
 }
@@ -394,12 +413,6 @@ sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
                                 hw::BufView data, HierarchySpec spec,
                                 std::size_t pipeline_chunk) {
   const Hierarchy h(std::move(spec), comm.cluster());
-  if (h.depth() == 2) {
-    // The paper's two-level broadcast, unchanged.
-    co_await mha_bcast(comm, my, root, data, pipeline_chunk);
-    co_return;
-  }
-
   auto& cl = comm.cluster();
   if (comm.size() != cl.world_size()) {
     throw std::invalid_argument("bcast_hierarchy: world comm required");
@@ -416,38 +429,45 @@ sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
   const int root_node = comm.node_of(root);
   const int root_local = comm.node_local_rank(root);
   const bool leader = (local == 0);
-  const int grank = comm.to_global(my);
 
-  // Steps 0 + 1 are the mha_bcast preamble: root -> node-leader handoff,
-  // then the inter-node broadcast among node leaders.
-  if (my == root && root_local != 0) {
-    co_await comm.send(my, root - root_local, 9, data);
-  }
-  if (leader && node == root_node && root_local != 0) {
-    co_await comm.recv(my, root, 9, data);
-  }
-  if (leader && cl.nodes() > 1) {
-    auto& lcomm = comm.world().leader_comm();
-    if (data.len % static_cast<std::size_t>(cl.nodes()) == 0 &&
-        data.len >= static_cast<std::size_t>(cl.nodes())) {
-      co_await coll::bcast_scatter_allgather(lcomm, node, root_node, data);
-    } else {
-      co_await coll::bcast_binomial(lcomm, node, root_node, data);
+  {
+    // Steps 0 + 1 are the inter-node stage of the rooted collective and
+    // attribute as phase 2 (the phase-1 gather has no analog in a bcast).
+    coll::PhaseSpan p2(comm, my, obs::names::kPhase2);
+
+    // Step 0: a non-leader root hands the payload to its node leader (one
+    // intra-node transfer; CMA for large payloads).
+    if (my == root && root_local != 0) {
+      co_await comm.send(my, root - root_local, 9, data);
+    }
+    if (leader && node == root_node && root_local != 0) {
+      co_await comm.recv(my, root, 9, data);
+    }
+
+    // Step 1: inter-node broadcast among node leaders, rooted at the
+    // root's node, striped over all rails.
+    if (leader && cl.nodes() > 1) {
+      auto& lcomm = comm.world().leader_comm();
+      if (data.len % static_cast<std::size_t>(cl.nodes()) == 0 &&
+          data.len >= static_cast<std::size_t>(cl.nodes())) {
+        co_await coll::bcast_scatter_allgather(lcomm, node, root_node, data);
+      } else {
+        co_await coll::bcast_binomial(lcomm, node, root_node, data);
+      }
     }
   }
   if (l == 1) co_return;
+  coll::PhaseSpan p3(comm, my, obs::names::kPhase3);
 
   // Step 2: top-down cascade through the intra-node levels. Stage by
   // stage (outermost first), each group leader republishes the payload
   // through a shared-memory segment homed on its own group; its
   // child-group leaders copy out, then repeat one level down. The final
-  // stage fans out to the innermost groups' members. Pipelined chunks
-  // overlap each level's copy-outs with the next chunk's copy-in.
+  // stage fans out to the innermost groups' members (on a flat node, the
+  // only stage: leader -> members). Pipelined chunks overlap each level's
+  // copy-outs with the next chunk's copy-in.
   const NodePlan plan = h.node_plan();
   const auto& stages = plan.stages;
-  const std::size_t chunks =
-      (data.len + pipeline_chunk - 1) / pipeline_chunk;
-
   for (int st = static_cast<int>(stages.size()) - 1; st >= 1; --st) {
     const auto& child = stages[static_cast<std::size_t>(st) - 1];
     const auto& parent = stages[static_cast<std::size_t>(st)];
@@ -466,61 +486,20 @@ sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
     const int chi = pend >= l ? nchildren : group_of(child, pend);
     const int nsib = chi - clo;
     if (local != cf || nsib <= 1) continue;  // only child leaders exchange
-
-    auto region = comm.share().acquire<shm::ShmRegion>(
-        node, keys.key(pg), nsib, [&] {
-          return std::make_shared<shm::ShmRegion>(
-              cl, node, data.len, comm.sink(), cl.global_rank(node, pf));
-        });
-    if (local == pf) {  // parent-group leader already has the payload
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t off = c * pipeline_chunk;
-        const std::size_t len = std::min(pipeline_chunk, data.len - off);
-        co_await region->copy_in_publish(grank, data.sub(off, len), off);
-      }
-    } else if (my == root) {
-      // A non-leader root already has the payload; drain only.
-      co_await region->wait_published(chunks);
-    } else {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        co_await region->wait_published(c + 1);
-        const auto ch = region->chunk(c);
-        co_await region->copy_out(grank, c, data.sub(ch.offset, ch.len));
-      }
-    }
+    co_await cascade_hop(comm, my, root, node, keys.key(pg), nsib, pf,
+                         local == pf, data, pipeline_chunk);
   }
 
   // Final fan-out: innermost group leaders -> their members.
-  {
-    const auto& inner = stages.front();
-    const int ngroups = static_cast<int>(inner.size());
-    KeyAlloc keys(comm, my, ngroups);
-    const int g = group_of(inner, local);
-    const int f = inner[static_cast<std::size_t>(g)];
-    const int end =
-        g + 1 < ngroups ? inner[static_cast<std::size_t>(g) + 1] : l;
-    if (end - f <= 1) co_return;
-    auto region = comm.share().acquire<shm::ShmRegion>(
-        node, keys.key(g), end - f, [&] {
-          return std::make_shared<shm::ShmRegion>(
-              cl, node, data.len, comm.sink(), cl.global_rank(node, f));
-        });
-    if (local == f) {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t off = c * pipeline_chunk;
-        const std::size_t len = std::min(pipeline_chunk, data.len - off);
-        co_await region->copy_in_publish(grank, data.sub(off, len), off);
-      }
-    } else if (my == root) {
-      co_await region->wait_published(chunks);
-    } else {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        co_await region->wait_published(c + 1);
-        const auto ch = region->chunk(c);
-        co_await region->copy_out(grank, c, data.sub(ch.offset, ch.len));
-      }
-    }
-  }
+  const auto& inner = stages.front();
+  const int ngroups = static_cast<int>(inner.size());
+  KeyAlloc keys(comm, my, ngroups);
+  const int g = group_of(inner, local);
+  const int f = inner[static_cast<std::size_t>(g)];
+  const int end = g + 1 < ngroups ? inner[static_cast<std::size_t>(g) + 1] : l;
+  if (end - f <= 1) co_return;
+  co_await cascade_hop(comm, my, root, node, keys.key(g), end - f, f,
+                       local == f, data, pipeline_chunk);
 }
 
 coll::prim::PlanLevels plan_levels(const Hierarchy& h) {

@@ -13,8 +13,8 @@
 //   depth 3  (socket < node < cluster)   = the Sec. 7 NUMA design
 //   depth >= 3 with adapter-group/custom = the generalized n-level builder
 //
-// Depth-2 and the even-socket depth-3 spec map byte-for-byte onto the
-// historical Phase1Mode paths, so adopting the API changes no metric.
+// Every depth runs the same staged engine: the NodePlan lists one stage
+// per level at or below the node, and the engine needs no per-depth code.
 // Specs come from three places: HierarchySpec::derive (topology-driven),
 // JSON (schemas/hierarchy.schema.json), or the HMCA_HIERARCHY environment
 // variable (hierarchy_from_env).
@@ -157,22 +157,23 @@ struct HierarchyOptions {
   double offload = -1.0;
 };
 
-/// Allgather over the world communicator following `spec`. Depth-2 specs
-/// and the depth-3 socket spec run the historical MHA-inter / NUMA
-/// engines unchanged (metric-identical); anything else builds a NodePlan
-/// and runs the generic n-level phase 1. The spec is taken by value: the
-/// coroutine owns its copy, so callers may pass temporaries (registry
-/// lambdas do).
+/// Allgather over the world communicator following `spec`: phase 1 runs
+/// the resolved hierarchy's NodePlan (a single-stage plan is the paper's
+/// MHA-intra; a `shm` transport on a depth-2 spec is the single-leader
+/// gather), phases 2 and 3 are the leader exchange and distribution of
+/// allgather_hierarchical. The spec is taken by value: the coroutine owns
+/// its copy, so callers may pass temporaries (registry lambdas do).
 sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
                                     hw::BufView recv, std::size_t msg,
                                     bool in_place, HierarchySpec spec,
                                     HierarchyOptions opts = {});
 
-/// Broadcast following `spec`: root -> node-leader handoff, inter-node
-/// leader broadcast, then a top-down shared-memory cascade through the
-/// intra-node levels (each group leader republishes to its child-group
-/// leaders, pipelined in `pipeline_chunk` byte chunks). Depth-2 specs
-/// delegate to mha_bcast unchanged.
+/// Broadcast following `spec`: root -> node-leader handoff and inter-node
+/// leader broadcast (phase 2), then a top-down shared-memory cascade
+/// through the intra-node levels (phase 3: each group leader republishes
+/// to its child-group leaders, pipelined in `pipeline_chunk` byte chunks).
+/// At depth 2 the cascade is one hop, leader -> members: the paper's
+/// hierarchical bcast, registered as "mha".
 sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
                                 hw::BufView data, HierarchySpec spec,
                                 std::size_t pipeline_chunk = 256 * 1024);

@@ -1,7 +1,8 @@
-// Multi-HCA aware rooted collectives (paper Sec. 7: "we plan to address
+// Multi-HCA aware rooted reduction (paper Sec. 7: "we plan to address
 // other collectives"). The same two-level decomposition as MHA-inter:
-// inter-node movement between node leaders over all rails (striped), node
-// distribution/aggregation through shared memory.
+// node aggregation through shared memory, inter-node movement between
+// node leaders. The hierarchical bcast is bcast_hierarchy
+// (core/hierarchy.hpp), at any depth.
 #pragma once
 
 #include <cstddef>
@@ -12,14 +13,6 @@
 #include "sim/task.hpp"
 
 namespace hmca::core {
-
-/// Hierarchical broadcast: the root hands its payload to its node leader,
-/// leaders run a bandwidth-optimal scatter-allgather broadcast across nodes
-/// (multi-rail striped), and each leader publishes the payload through
-/// shared memory in pipeline chunks so members copy out while later chunks
-/// are still arriving.
-sim::Task<void> mha_bcast(mpi::Comm& comm, int my, int root, hw::BufView data,
-                          std::size_t pipeline_chunk = 256 * 1024);
 
 /// Hierarchical reduction to `root`: node members push contributions
 /// through shared memory, the leader folds them locally, leaders combine

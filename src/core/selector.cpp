@@ -9,7 +9,6 @@
 #include "core/hierarchy.hpp"
 #include "core/mha_allgatherv.hpp"
 #include "core/mha_intra.hpp"
-#include "core/mha_rooted.hpp"
 #include "model/cost.hpp"
 #include "osu/env.hpp"
 #include "trace/trace.hpp"
@@ -163,35 +162,6 @@ void register_core_impl(coll::Registry& reg) {
        "Sec. 7: 3-level NUMA-aware hierarchical (socket, node, cluster)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) {
-         HierOptions o;
-         o.phase1 = c.cluster().sockets() > 1 ? Phase1Mode::kNumaTwoLevel
-                                              : Phase1Mode::kMhaIntra;
-         return allgather_hierarchical(c, my, s, rv, m, ip, o);
-       },
-       [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
-  reg.add_allgather(
-      {"hier2",
-       "declarative depth-2 hierarchy (node<cluster); == mha_inter",
-       [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
-          bool ip) {
-         return allgather_hierarchy(c, my, s, rv, m, ip,
-                                    HierarchySpec::derive(c.cluster().spec(),
-                                                          2));
-       },
-       world_multi_node,
-       [](const model::ModelParams& p, const coll::CommShape& s,
-          std::size_t m) {
-         const double mm = static_cast<double>(m);
-         return std::min(model::mha_inter_time_rd(p, s.nodes, s.ppn, mm),
-                         model::mha_inter_time_ring(p, s.nodes, s.ppn, mm));
-       },
-       coll::GraphMode::kNative});
-  reg.add_allgather(
-      {"hier3",
-       "declarative depth-3 hierarchy (socket<node<cluster); == numa3",
-       [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
-          bool ip) {
          return allgather_hierarchy(c, my, s, rv, m, ip,
                                     HierarchySpec::derive(c.cluster().spec(),
                                                           3));
@@ -256,7 +226,8 @@ void register_core_impl(coll::Registry& reg) {
   reg.add_bcast({"mha",
                  "hierarchical: leader scatter-allgather + pipelined shm",
                  [](mpi::Comm& c, int my, int root, hw::BufView d) {
-                   return mha_bcast(c, my, root, d);
+                   return bcast_hierarchy(c, my, root, d,
+                                          HierarchySpec::mha());
                  },
                  [](const coll::CommShape& s, std::size_t) { return s.world; },
                  {}});
@@ -347,7 +318,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
   if (shape.world && shape.nodes > 1) {
     if (auto hs = hierarchy_from_env(spec)) {
       const auto& a =
-          reg.get_allgather(hs->depth() >= 3 ? "hier3" : "hier2");
+          reg.get_allgather(hs->depth() >= 3 ? "numa3" : "mha_inter");
       HierarchySpec hspec = std::move(*hs);
       return finish(a,
                     [hspec](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
@@ -452,7 +423,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       // leader hierarchy (socket < node < cluster), and the socket-staged
       // phase 1 keeps the gather NUMA-local. Flat nodes fall through to
       // the paper's depth-2 Fig. 8 thresholds unchanged.
-      const auto& a = reg.get_allgather("hier3");
+      const auto& a = reg.get_allgather("numa3");
       return finish(a, a.fn, "depth:" + shape.level_structure());
     }
     const Phase2Algo p2 =

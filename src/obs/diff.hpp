@@ -13,7 +13,7 @@
 //   rail         per-rail busy time ("node0/rail1")
 //   phase.rail   rail busy time inside one phase's interval union
 //   task         per-task-label critical-path time, chunk suffix stripped
-//   decision     selector decisions that changed ("allgather ring -> hier3")
+//   decision     selector decisions that changed ("allgather ring -> numa3")
 //   counter      non-time counters (retries, restripes, bytes) as context
 //
 // Alignment is tolerant by construction: maps are joined on the key union
@@ -118,7 +118,7 @@ struct Attribution {
   double next = 0;
   double delta = 0;  ///< next - base
   double share = 0;  ///< delta / latency delta (time attributions only)
-  std::string note;  ///< e.g. "only in next run", "ring -> hier3"
+  std::string note;  ///< e.g. "only in next run", "ring -> numa3"
 };
 
 /// The attribution of one aligned invocation pair.
@@ -138,7 +138,7 @@ struct InvocationDiff {
 
   /// One-line explanation, most specific dominant cause first, e.g.
   /// "fig13/65536: +18.2% latency; 92% of delta on phase2/nic;
-  ///  decision allgather: ring -> hier3".
+  ///  decision allgather: ring -> numa3".
   std::string headline() const;
 };
 

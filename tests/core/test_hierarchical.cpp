@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "osu/harness.hpp"
 #include "testing/coll_testing.hpp"
 
@@ -21,9 +22,15 @@ coll::AllgatherFn fn_hier(HierOptions opts) {
   };
 }
 
-HierOptions make_opts(Phase1Mode p1, Phase2Algo p2, bool overlap) {
+// Phase-1 variants: MHA-intra with the Eq. 1 offload, plain CMA direct
+// spread (MHA-intra with offload = 0), and the shm gather.
+enum class P1 { kMhaIntra, kCmaDirect, kShmGather };
+
+HierOptions make_opts(P1 p1, Phase2Algo p2, bool overlap) {
   HierOptions o;
-  o.phase1 = p1;
+  o.phase1 = p1 == P1::kShmGather ? Phase1Mode::kShmGather
+                                  : Phase1Mode::kMhaIntra;
+  if (p1 == P1::kCmaDirect) o.offload = 0.0;
   o.phase2 = p2;
   o.overlap = overlap;
   return o;
@@ -31,7 +38,7 @@ HierOptions make_opts(Phase1Mode p1, Phase2Algo p2, bool overlap) {
 
 // ---- Correctness sweep: phase-1 x phase-2 x overlap x topology ----
 
-using Case = std::tuple<Phase1Mode, Phase2Algo, bool, int, int, std::size_t>;
+using Case = std::tuple<P1, Phase2Algo, bool, int, int, std::size_t>;
 
 class HierSweep : public ::testing::TestWithParam<Case> {};
 
@@ -43,8 +50,7 @@ TEST_P(HierSweep, GathersCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     Ring, HierSweep,
     ::testing::Combine(
-        ::testing::Values(Phase1Mode::kMhaIntra, Phase1Mode::kCmaDirect,
-                          Phase1Mode::kShmGather),
+        ::testing::Values(P1::kMhaIntra, P1::kCmaDirect, P1::kShmGather),
         ::testing::Values(Phase2Algo::kRing),
         ::testing::Values(true, false),
         ::testing::Values(2, 3),    // incl. non-power-of-two nodes
@@ -54,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     Rd, HierSweep,
     ::testing::Combine(
-        ::testing::Values(Phase1Mode::kMhaIntra, Phase1Mode::kShmGather),
+        ::testing::Values(P1::kMhaIntra, P1::kShmGather),
         ::testing::Values(Phase2Algo::kRD),
         ::testing::Values(true, false),
         ::testing::Values(2, 4),
@@ -63,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     Auto, HierSweep,
-    ::testing::Combine(::testing::Values(Phase1Mode::kMhaIntra),
+    ::testing::Combine(::testing::Values(P1::kMhaIntra),
                        ::testing::Values(Phase2Algo::kAuto),
                        ::testing::Values(true),
                        ::testing::Values(2, 4, 5),
@@ -72,8 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{262144})));
 
 TEST(Hier, InPlace) {
-  check_allgather(fn_hier(make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing,
-                                    true)),
+  check_allgather(fn_hier(make_opts(P1::kMhaIntra, Phase2Algo::kRing, true)),
                   2, 2, 4096, true);
 }
 
@@ -86,39 +91,37 @@ TEST(Hier, NamedEntryPoints) {
   // all-defaults options, single-leader is shm gather + RD (Ring on
   // non-power-of-two node counts).
   check_allgather(fn_hier({}), 2, 2, 8192);
-  check_allgather(fn_hier(make_opts(Phase1Mode::kShmGather, Phase2Algo::kRD,
-                                    true)),
+  check_allgather(fn_hier(make_opts(P1::kShmGather, Phase2Algo::kRD, true)),
                   2, 2, 8192);
-  check_allgather(fn_hier(make_opts(Phase1Mode::kShmGather, Phase2Algo::kRing,
-                                    true)),
+  check_allgather(fn_hier(make_opts(P1::kShmGather, Phase2Algo::kRing, true)),
                   3, 2, 8192);  // non-p2 nodes -> Ring
 }
 
-#ifndef HMCA_STRICT_API
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Hier, DeprecatedShimsStillGatherCorrectly) {
-  // The pre-HierarchySpec entry points stay callable (and correct) until
-  // the deprecation window closes; -DHMCA_STRICT_API=ON compiles them out.
+TEST(Hier, ShimReplacementsGatherCorrectly) {
+  // The calls that replace the removed free-function entry points
+  // (allgather_mha_inter, _barrier, single_leader, numa3), on the shapes
+  // those entry points were tested on.
   check_allgather(
       [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_mha_inter(c, r, s, rv, m, ip); },
+         bool ip) {
+        return allgather_hierarchy(c, r, s, rv, m, ip, HierarchySpec::mha());
+      },
       2, 2, 8192);
+  HierOptions barrier;
+  barrier.overlap = false;
+  barrier.streaming = false;
+  check_allgather(fn_hier(barrier), 2, 2, 4096);
+  HierOptions single_leader;
+  single_leader.phase1 = Phase1Mode::kShmGather;
+  check_allgather(fn_hier(single_leader), 3, 2, 8192);
   check_allgather(
       [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_mha_inter_barrier(c, r, s, rv, m, ip); },
-      2, 2, 4096);
-  check_allgather(
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_single_leader(c, r, s, rv, m, ip); },
-      3, 2, 8192);
-  check_allgather(
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_numa3(c, r, s, rv, m, ip); },
+         bool ip) {
+        return allgather_hierarchy(
+            c, r, s, rv, m, ip, HierarchySpec::derive(c.cluster().spec(), 3));
+      },
       2, 4, 4096);
 }
-#pragma GCC diagnostic pop
-#endif  // HMCA_STRICT_API
 
 TEST(Hier, ResolvePhase2) {
   auto spec = hw::ClusterSpec::thor(8, 32);
@@ -151,8 +154,8 @@ double hier_latency(int nodes, int ppn, std::size_t msg, HierOptions opts) {
 TEST(HierPerf, OverlapBeatsStrictPhases) {
   // The paper's core Sec. 3.2 claim: overlapping phase 3 with phase 2 wins
   // for bandwidth-bound configurations.
-  const auto on = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, true);
-  const auto off = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, false);
+  const auto on = make_opts(P1::kMhaIntra, Phase2Algo::kRing, true);
+  const auto off = make_opts(P1::kMhaIntra, Phase2Algo::kRing, false);
   const double t_on = hier_latency(8, 8, 65536, on);
   const double t_off = hier_latency(8, 8, 65536, off);
   EXPECT_LT(t_on, 0.9 * t_off);
@@ -160,8 +163,8 @@ TEST(HierPerf, OverlapBeatsStrictPhases) {
 
 TEST(HierPerf, RingOverlapsBetterThanRdForLargeChunks) {
   // Fig. 8: Ring wins for large per-process messages, RD for small.
-  const auto ring = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, true);
-  const auto rd = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRD, true);
+  const auto ring = make_opts(P1::kMhaIntra, Phase2Algo::kRing, true);
+  const auto rd = make_opts(P1::kMhaIntra, Phase2Algo::kRD, true);
   const double t_ring_large = hier_latency(16, 8, 262144, ring);
   const double t_rd_large = hier_latency(16, 8, 262144, rd);
   EXPECT_LT(t_ring_large, t_rd_large);
@@ -172,8 +175,8 @@ TEST(HierPerf, RingOverlapsBetterThanRdForLargeChunks) {
 }
 
 TEST(HierPerf, MhaIntraPhase1BeatsShmGather) {
-  const auto mha = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, true);
-  const auto shm = make_opts(Phase1Mode::kShmGather, Phase2Algo::kRing, true);
+  const auto mha = make_opts(P1::kMhaIntra, Phase2Algo::kRing, true);
+  const auto shm = make_opts(P1::kShmGather, Phase2Algo::kRing, true);
   const double t_mha = hier_latency(2, 4, 1u << 20, mha);
   const double t_shm = hier_latency(2, 4, 1u << 20, shm);
   EXPECT_LT(t_mha, t_shm);

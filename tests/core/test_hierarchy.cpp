@@ -1,13 +1,14 @@
 // The declarative HierarchySpec API (core/hierarchy.hpp): spec validation
 // and derivation, JSON round-trips, resolution invariants (partition,
-// nesting, leaders), byte-identity of depth-2/depth-3 with the historical
-// engines, n-level correctness on custom/adapter-group levels, the
-// selector's depth routing, HMCA_HIERARCHY, and the multi-socket win the
-// deeper hierarchy exists for.
+// nesting, leaders), depth-2 byte-identity with MHA-inter and a pinned
+// depth-3 virtual-time table, n-level correctness on custom/adapter-group
+// levels, the selector's depth routing, HMCA_HIERARCHY, and the
+// multi-socket win the deeper hierarchy exists for.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -347,7 +348,7 @@ TEST(HierarchyResolve, RejectsSpecTopologyMismatch) {
   EXPECT_THROW(Hierarchy(n, cl), HierarchyError);
 }
 
-// ---- Byte-identity with the historical engines ----
+// ---- Exact virtual times of the paper's depths ----
 
 TEST(HierarchyApi, Depth2IsMetricIdenticalToMhaInter) {
   const auto spec = hw::ClusterSpec::thor(4, 4);
@@ -365,21 +366,168 @@ TEST(HierarchyApi, Depth2IsMetricIdenticalToMhaInter) {
   }
 }
 
-TEST(HierarchyApi, Depth3IsMetricIdenticalToNumaEngine) {
-  const auto spec = hw::ClusterSpec::thor_numa(2, 8);
-  const std::size_t msg = 65536;
-  const double t_spec = osu::measure_allgather(
-      spec, fn_spec(HierarchySpec::derive(spec, 3)), msg);
-  const double t_hist = osu::measure_allgather(
-      spec,
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) {
-        HierOptions o;
-        o.phase1 = Phase1Mode::kNumaTwoLevel;
-        return allgather_hierarchical(c, r, s, rv, m, ip, o);
-      },
-      msg);
-  EXPECT_EQ(t_spec, t_hist);
+// The depth-3 socket hierarchy (the numa3 design) at exact virtual times.
+// The table was captured from the dedicated two-level NUMA phase-1 engine
+// this path replaced (MHA-intra per socket on socket communicators, then
+// a socket-leader pull through shared memory); the staged NodePlan path
+// must reproduce it bit for bit across even, uneven, 4-socket,
+// singleton-socket and single-node shapes, four sizes, and the streaming,
+// barrier, overlap-off and offload = 0 variants.
+enum class Variant { kStreaming, kBarrier, kOverlapOff, kOffload0 };
+
+struct Pin {
+  const char* shape;
+  std::size_t msg;
+  Variant variant;
+  double seconds;
+};
+
+hw::ClusterSpec pin_shape(const std::string& name) {
+  const auto numa = [](int nodes, int ppn) {
+    return hw::ClusterSpec::thor_numa(nodes, ppn);
+  };
+  if (name == "even_2x8") return numa(2, 8);
+  if (name == "even_4x4") return numa(4, 4);
+  if (name == "nonp2_3x6") return numa(3, 6);
+  if (name == "uneven_2x7") {
+    return hw::ClusterSpecBuilder(numa(2, 8)).ppn(7).build();
+  }
+  if (name == "sockets4_2x8") {
+    return hw::ClusterSpecBuilder(numa(2, 8)).sockets(4).build();
+  }
+  if (name == "singleton_2x2") return numa(2, 2);
+  if (name == "node1_1x8") return numa(1, 8);
+  throw std::invalid_argument("unknown pin shape " + name);
+}
+
+TEST(HierarchyApi, Depth3MatchesPinnedNumaTimes) {
+  using enum Variant;
+  const std::vector<Pin> pins = {
+      {"even_2x8", 100, kStreaming, 5.5367878787878791e-06},
+      {"even_2x8", 100, kBarrier, 5.5367878787878791e-06},
+      {"even_2x8", 100, kOverlapOff, 5.5367878787878791e-06},
+      {"even_2x8", 100, kOffload0, 5.4378989898989905e-06},
+      {"even_2x8", 4096, kStreaming, 2.5472393535353531e-05},
+      {"even_2x8", 4096, kBarrier, 2.5472393535353531e-05},
+      {"even_2x8", 4096, kOverlapOff, 2.5472393535353531e-05},
+      {"even_2x8", 4096, kOffload0, 2.6277993535353533e-05},
+      {"even_2x8", 65536, kStreaming, 0.00027585899717171719},
+      {"even_2x8", 65536, kBarrier, 0.00032212932929292929},
+      {"even_2x8", 65536, kOverlapOff, 0.00032212932929292929},
+      {"even_2x8", 65536, kOffload0, 0.00029512111111111111},
+      {"even_2x8", 1048576, kStreaming, 0.0044539803352469749},
+      {"even_2x8", 1048576, kBarrier, 0.0051955904976712175},
+      {"even_2x8", 1048576, kOverlapOff, 0.0051955904976712175},
+      {"even_2x8", 1048576, kOffload0, 0.0046647211111111109},
+      {"even_4x4", 100, kStreaming, 5.9570270707070718e-06},
+      {"even_4x4", 100, kBarrier, 5.9570270707070718e-06},
+      {"even_4x4", 100, kOverlapOff, 6.2603604040404053e-06},
+      {"even_4x4", 100, kOffload0, 4.8793737373737382e-06},
+      {"even_4x4", 4096, kStreaming, 2.1061637979797975e-05},
+      {"even_4x4", 4096, kBarrier, 2.1061637979797975e-05},
+      {"even_4x4", 4096, kOverlapOff, 2.3496171313131307e-05},
+      {"even_4x4", 4096, kOffload0, 2.0843344646464644e-05},
+      {"even_4x4", 65536, kStreaming, 0.0001633210270707071},
+      {"even_4x4", 65536, kBarrier, 0.00018241114828282829},
+      {"even_4x4", 65536, kOverlapOff, 0.00022895418828282828},
+      {"even_4x4", 65536, kOffload0, 0.00016706009373737378},
+      {"even_4x4", 1048576, kStreaming, 0.0024716807505028291},
+      {"even_4x4", 1048576, kBarrier, 0.0028483731725252523},
+      {"even_4x4", 1048576, kOverlapOff, 0.0035240618125252517},
+      {"even_4x4", 1048576, kOffload0, 0.0025349610171694955},
+      {"nonp2_3x6", 100, kStreaming, 6.765369696969695e-06},
+      {"nonp2_3x6", 100, kBarrier, 6.765369696969695e-06},
+      {"nonp2_3x6", 100, kOverlapOff, 7.1353696969696948e-06},
+      {"nonp2_3x6", 100, kOffload0, 5.8189696969696967e-06},
+      {"nonp2_3x6", 4096, kStreaming, 2.2830576639118457e-05},
+      {"nonp2_3x6", 4096, kBarrier, 2.2830576639118457e-05},
+      {"nonp2_3x6", 4096, kOverlapOff, 2.6772675151515146e-05},
+      {"nonp2_3x6", 4096, kOffload0, 2.3277576639118458e-05},
+      {"nonp2_3x6", 65536, kStreaming, 0.00024549363151515164},
+      {"nonp2_3x6", 65536, kBarrier, 0.00027974272242424242},
+      {"nonp2_3x6", 65536, kOverlapOff, 0.00031350000242424242},
+      {"nonp2_3x6", 65536, kOffload0, 0.00025650843151515159},
+      {"nonp2_3x6", 1048576, kStreaming, 0.0038416233913109031},
+      {"nonp2_3x6", 1048576, kBarrier, 0.0044008003587878786},
+      {"nonp2_3x6", 1048576, kOverlapOff, 0.0049064168387878779},
+      {"nonp2_3x6", 1048576, kOffload0, 0.0040164433913109027},
+      {"uneven_2x7", 100, kStreaming, 5.3190060606060603e-06},
+      {"uneven_2x7", 100, kBarrier, 5.3190060606060603e-06},
+      {"uneven_2x7", 100, kOverlapOff, 5.3190060606060603e-06},
+      {"uneven_2x7", 100, kOffload0, 5.3192727272727276e-06},
+      {"uneven_2x7", 4096, kStreaming, 2.1313505454545451e-05},
+      {"uneven_2x7", 4096, kBarrier, 2.1313505454545451e-05},
+      {"uneven_2x7", 4096, kOverlapOff, 2.1313505454545451e-05},
+      {"uneven_2x7", 4096, kOffload0, 2.2119105454545452e-05},
+      {"uneven_2x7", 65536, kStreaming, 0.00023610124363636364},
+      {"uneven_2x7", 65536, kBarrier, 0.00024521496484848485},
+      {"uneven_2x7", 65536, kOverlapOff, 0.00024521496484848485},
+      {"uneven_2x7", 65536, kOffload0, 0.00025882444363636365},
+      {"uneven_2x7", 1048576, kStreaming, 0.0036844004398650459},
+      {"uneven_2x7", 1048576, kBarrier, 0.003851163086060606},
+      {"uneven_2x7", 1048576, kOverlapOff, 0.003851163086060606},
+      {"uneven_2x7", 1048576, kOffload0, 0.0040643161731983785},
+      {"sockets4_2x8", 100, kStreaming, 6.9102577777777789e-06},
+      {"sockets4_2x8", 100, kBarrier, 6.9102577777777789e-06},
+      {"sockets4_2x8", 100, kOverlapOff, 6.9102577777777789e-06},
+      {"sockets4_2x8", 100, kOffload0, 4.2591111111111119e-06},
+      {"sockets4_2x8", 4096, kStreaming, 2.9326871111111108e-05},
+      {"sockets4_2x8", 4096, kBarrier, 2.9326871111111108e-05},
+      {"sockets4_2x8", 4096, kOverlapOff, 2.9326871111111108e-05},
+      {"sockets4_2x8", 4096, kOffload0, 2.855268444444444e-05},
+      {"sockets4_2x8", 65536, kStreaming, 0.00030968391873015873},
+      {"sockets4_2x8", 65536, kBarrier, 0.00038009513777777779},
+      {"sockets4_2x8", 65536, kOverlapOff, 0.00038009513777777779},
+      {"sockets4_2x8", 65536, kOffload0, 0.00031968173206349207},
+      {"sockets4_2x8", 1048576, kStreaming, 0.0049581965533311151},
+      {"sockets4_2x8", 1048576, kBarrier, 0.0060334958844444446},
+      {"sockets4_2x8", 1048576, kOverlapOff, 0.0060334958844444446},
+      {"sockets4_2x8", 1048576, kOffload0, 0.0050994378866644494},
+      {"singleton_2x2", 100, kStreaming, 2.2067474747474748e-06},
+      {"singleton_2x2", 100, kBarrier, 2.2067474747474748e-06},
+      {"singleton_2x2", 100, kOverlapOff, 2.2067474747474748e-06},
+      {"singleton_2x2", 100, kOffload0, 2.2067474747474748e-06},
+      {"singleton_2x2", 4096, kStreaming, 6.4723765656565662e-06},
+      {"singleton_2x2", 4096, kBarrier, 6.4723765656565662e-06},
+      {"singleton_2x2", 4096, kOverlapOff, 6.4723765656565662e-06},
+      {"singleton_2x2", 4096, kOffload0, 6.4723765656565662e-06},
+      {"singleton_2x2", 65536, kStreaming, 4.4098810505050509e-05},
+      {"singleton_2x2", 65536, kBarrier, 5.0606628686868681e-05},
+      {"singleton_2x2", 65536, kOverlapOff, 5.0606628686868681e-05},
+      {"singleton_2x2", 65536, kOffload0, 4.4098810505050509e-05},
+      {"singleton_2x2", 1048576, kStreaming, 0.00055849818242202285},
+      {"singleton_2x2", 1048576, kBarrier, 0.000763956058989899},
+      {"singleton_2x2", 1048576, kOverlapOff, 0.000763956058989899},
+      {"singleton_2x2", 1048576, kOffload0, 0.00055849818242202285},
+      {"node1_1x8", 100, kStreaming, 3.9110133333333332e-06},
+      {"node1_1x8", 100, kBarrier, 3.9110133333333332e-06},
+      {"node1_1x8", 100, kOverlapOff, 3.9110133333333332e-06},
+      {"node1_1x8", 100, kOffload0, 3.4311111111111115e-06},
+      {"node1_1x8", 4096, kStreaming, 1.186071111111111e-05},
+      {"node1_1x8", 4096, kBarrier, 1.186071111111111e-05},
+      {"node1_1x8", 4096, kOverlapOff, 1.186071111111111e-05},
+      {"node1_1x8", 4096, kOffload0, 1.2666311111111112e-05},
+      {"node1_1x8", 65536, kStreaming, 0.00013539886383838386},
+      {"node1_1x8", 65536, kBarrier, 0.00013539886383838386},
+      {"node1_1x8", 65536, kOverlapOff, 0.00013539886383838386},
+      {"node1_1x8", 65536, kOffload0, 0.00015466097777777781},
+      {"node1_1x8", 1048576, kStreaming, 0.0022158348685803087},
+      {"node1_1x8", 1048576, kBarrier, 0.0022158348685803087},
+      {"node1_1x8", 1048576, kOverlapOff, 0.0022158348685803087},
+      {"node1_1x8", 1048576, kOffload0, 0.0024265756444444447},
+  };
+  for (const Pin& pin : pins) {
+    HierarchyOptions o;
+    o.streaming = pin.variant != kBarrier;
+    o.overlap = pin.variant != kOverlapOff;
+    if (pin.variant == kOffload0) o.offload = 0.0;
+    const auto spec = pin_shape(pin.shape);
+    const double t = osu::measure_allgather(
+        spec, fn_spec(HierarchySpec::derive(spec, 3), o), pin.msg);
+    EXPECT_EQ(t, pin.seconds)
+        << pin.shape << " msg=" << pin.msg << " variant "
+        << static_cast<int>(pin.variant);
+  }
 }
 
 // ---- n-level correctness ----
@@ -420,6 +568,8 @@ TEST(HierarchyApi, UnevenCustomGroupsGatherCorrectly) {
 
 // ---- Hierarchy-aware bcast ----
 
+// Depth 2 is the paper's hierarchical bcast (registered as "mha"): a
+// one-hop cascade, leader -> members.
 TEST(HierarchyBcast, Depth2DelegatesToMhaBcast) {
   check_bcast(hw::ClusterSpec::thor(2, 4), HierarchySpec::mha(), 8192, 4096);
 }
@@ -456,7 +606,7 @@ TEST(SelectorDepth, MultiSocketWorldsRouteToDepth3) {
   mpi::World world(eng, spec);
   const auto sel =
       default_selector().select_allgather(world.comm_world(), 0, 65536);
-  EXPECT_EQ(sel.name(), "hier3");
+  EXPECT_EQ(sel.name(), "numa3");
   EXPECT_EQ(sel.reason, "allgather:depth:cluster:1>node:2>socket:4");
 }
 
@@ -482,7 +632,7 @@ TEST(SelectorDepth, EnvOverridePinsDepth) {
     mpi::World world(eng, spec);
     const auto sel =
         default_selector().select_allgather(world.comm_world(), 0, 65536);
-    EXPECT_EQ(sel.name(), "hier2");
+    EXPECT_EQ(sel.name(), "mha_inter");
     EXPECT_EQ(sel.reason, std::string("allgather:env:") + osu::Env::kHierarchy);
   }
   {
@@ -491,7 +641,7 @@ TEST(SelectorDepth, EnvOverridePinsDepth) {
     mpi::World world(eng, spec);
     const auto sel =
         default_selector().select_allgather(world.comm_world(), 0, 65536);
-    EXPECT_EQ(sel.name(), "hier3");  // auto = policy decides
+    EXPECT_EQ(sel.name(), "numa3");  // auto = policy decides
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "coll/bcast.hpp"
+#include "core/hierarchy.hpp"
 #include "core/mha_rooted.hpp"
 #include "mpi/comm.hpp"
 #include "sim/engine.hpp"
@@ -17,8 +18,9 @@ namespace {
 
 using hmca::testing::block_byte;
 
-sim::Task<void> bcast_rank(mpi::Comm& comm, int r, int root, hw::BufView d) {
-  co_await mha_bcast(comm, r, root, d);
+// The paper's hierarchical bcast: the depth-2 (node < cluster) hierarchy.
+sim::Task<void> mha_bcast(mpi::Comm& comm, int r, int root, hw::BufView d) {
+  co_await bcast_hierarchy(comm, r, root, d, HierarchySpec::mha());
 }
 
 void check_mha_bcast(int nodes, int ppn, std::size_t bytes, int root) {
@@ -37,7 +39,7 @@ void check_mha_bcast(int nodes, int ppn, std::size_t bytes, int root) {
     bufs.push_back(std::move(b));
   }
   for (int r = 0; r < p; ++r) {
-    eng.spawn(bcast_rank(comm, r, root, bufs[static_cast<std::size_t>(r)].view()));
+    eng.spawn(mha_bcast(comm, r, root, bufs[static_cast<std::size_t>(r)].view()));
   }
   eng.run();
   for (int r = 0; r < p; ++r) {

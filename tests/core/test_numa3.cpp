@@ -216,15 +216,16 @@ TEST(Numa3Perf, BeatsSocketObliviousDesignWhenUpiBinds) {
   auto flat_cma = [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                      std::size_t m, bool ip) {
     HierOptions o;
-    o.phase1 = Phase1Mode::kCmaDirect;
+    o.offload = 0.0;
     return allgather_hierarchical(c, r, s, rv, m, ip, o);
   };
   auto numa_cma = [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                      std::size_t m, bool ip) {
-    HierOptions o;
-    o.phase1 = Phase1Mode::kNumaTwoLevel;
+    HierarchyOptions o;
     o.offload = 0.0;
-    return allgather_hierarchical(c, r, s, rv, m, ip, o);
+    return allgather_hierarchy(c, r, s, rv, m, ip,
+                               HierarchySpec::derive(c.cluster().spec(), 3),
+                               o);
   };
   const double t_flat_cma = osu::measure_allgather(spec, flat_cma, msg);
   const double t_numa_cma = osu::measure_allgather(spec, numa_cma, msg);

@@ -103,7 +103,7 @@ TEST(ObsDiff, DecisionChangeOwnsTheWholeDelta) {
   const RunSummary base = baseline();
   RunSummary next = baseline();
   next.latency_us = 236;
-  next.decisions = {"allgather=hier3,cost"};
+  next.decisions = {"allgather=numa3,cost"};
 
   const DiffReport rep = diff_runs({base}, {next});
   ASSERT_EQ(rep.invocations.size(), 1u);
@@ -112,10 +112,10 @@ TEST(ObsDiff, DecisionChangeOwnsTheWholeDelta) {
   const Attribution& top = inv.attributions[0];
   EXPECT_EQ(top.category, "decision");
   EXPECT_EQ(top.name, "allgather");
-  EXPECT_EQ(top.note, "ring,cost -> hier3,cost");
+  EXPECT_EQ(top.note, "ring,cost -> numa3,cost");
   EXPECT_NEAR(top.delta, 36.0, 1e-9);
   EXPECT_NEAR(top.share, 1.0, 1e-9);
-  EXPECT_NE(inv.headline().find("decision allgather: ring,cost -> hier3,cost"),
+  EXPECT_NE(inv.headline().find("decision allgather: ring,cost -> numa3,cost"),
             std::string::npos)
       << inv.headline();
 }
@@ -172,7 +172,7 @@ TEST(ObsDiff, JsonBytesAreIdenticalAcrossWrites) {
   RunSummary next = baseline();
   next.latency_us = 250;
   next.phase_resource_us["phase2"]["nic"] = 150;
-  next.decisions = {"allgather=hier3,cost"};
+  next.decisions = {"allgather=numa3,cost"};
   const DiffReport rep = diff_runs({base}, {next});
 
   std::ostringstream a, b;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,9 +42,19 @@ Trial coverage_trial() {
   return t;
 }
 
+/// The multi-socket shape: 2 nodes x 4 ranks over 2 sockets, so the
+/// hierarchical algorithms stage through their socket level too.
+Trial socket_trial() {
+  Trial t = coverage_trial();
+  t.ppn = 4;
+  t.sockets = 2;
+  return t;
+}
+
 struct Coverage {
   std::size_t spans = 0;
   std::size_t phase_spans = 0;  ///< non-annotation kPhase spans
+  std::set<int> phase_ranks;    ///< ranks that emitted a phase span
   std::size_t task_spans = 0;
   double cp_total_us = 0;
   double cp_classified_us = 0;  ///< path time with a non-"" resource class
@@ -55,6 +66,7 @@ Coverage analyze(const std::vector<trace::Span>& spans) {
   for (const auto& s : spans) {
     if (s.kind == trace::Kind::kPhase && !obs::names::is_annotation(s.label)) {
       ++c.phase_spans;
+      c.phase_ranks.insert(s.rank);
     }
     if (s.kind == trace::Kind::kTask) ++c.task_spans;
   }
@@ -91,15 +103,17 @@ class SpanCoverage : public ::testing::Test {
 };
 
 TEST_F(SpanCoverage, Allgathers) {
-  const Trial t = coverage_trial();
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().allgathers()) {
-    if (algo.applies && !algo.applies(shape, t.msg)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_allgather(algo.fn, t, sink);
-    expect_attributable("allgather", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const Trial& t : {coverage_trial(), socket_trial()}) {
+    SCOPED_TRACE("sockets=" + std::to_string(t.sockets));
+    const auto shape = testing::conf::shape_of(t);
+    for (const auto& algo : coll::Registry::instance().allgathers()) {
+      if (algo.applies && !algo.applies(shape, t.msg)) continue;
+      trace::Tracer tracer;
+      obs::CollectSink sink(&tracer);
+      testing::conf::run_allgather(algo.fn, t, sink);
+      expect_attributable("allgather", algo.name, analyze(tracer.spans()),
+                          algo.graph != coll::GraphMode::kNone);
+    }
   }
 }
 
@@ -197,15 +211,24 @@ TEST_F(SpanCoverage, Allreduces) {
 }
 
 TEST_F(SpanCoverage, Bcasts) {
-  const Trial t = coverage_trial();
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().bcasts()) {
-    if (algo.applies && !algo.applies(shape, t.msg)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_bcast(algo.fn, t, &sink);
-    expect_attributable("bcast", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const Trial& t : {coverage_trial(), socket_trial()}) {
+    SCOPED_TRACE("sockets=" + std::to_string(t.sockets));
+    const auto shape = testing::conf::shape_of(t);
+    for (const auto& algo : coll::Registry::instance().bcasts()) {
+      if (algo.applies && !algo.applies(shape, t.msg)) continue;
+      trace::Tracer tracer;
+      obs::CollectSink sink(&tracer);
+      testing::conf::run_bcast(algo.fn, t, &sink);
+      const Coverage c = analyze(tracer.spans());
+      expect_attributable("bcast", algo.name, c,
+                          algo.graph != coll::GraphMode::kNone);
+      // A rank without a phase span aligns against nothing in hmca-diff:
+      // every rank of every bcast, members of a hierarchical cascade
+      // included, must attribute its time to a phase.
+      EXPECT_EQ(c.phase_ranks.size(), static_cast<std::size_t>(t.procs()))
+          << "bcast '" << algo.name << "': only " << c.phase_ranks.size()
+          << " of " << t.procs() << " ranks emitted a phase span";
+    }
   }
 }
 

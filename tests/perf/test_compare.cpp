@@ -336,7 +336,7 @@ TEST(PerfCompare, AttributionRanksDecisionChangeFirst) {
       << ", \"cp_class_nic_us\": " << latency * 0.5 << "}}";
     return report_doc(scenario_block("s1", m.str()));
   };
-  const CompareResult r = run(doc(100.0, "ring"), doc(140.0, "hier3"));
+  const CompareResult r = run(doc(100.0, "ring"), doc(140.0, "numa3"));
   EXPECT_FALSE(r.ok());
   ASSERT_EQ(r.attribution.invocations.size(), 1u);
   const auto& inv = r.attribution.invocations[0];
@@ -345,7 +345,7 @@ TEST(PerfCompare, AttributionRanksDecisionChangeFirst) {
   EXPECT_EQ(inv.attributions[0].name, "allgather");
   EXPECT_DOUBLE_EQ(inv.attributions[0].share, 1.0);
   EXPECT_NE(inv.attributions[0].note.find("ring"), std::string::npos);
-  EXPECT_NE(inv.attributions[0].note.find("hier3"), std::string::npos);
+  EXPECT_NE(inv.attributions[0].note.find("numa3"), std::string::npos);
 
   bool saw_decision_line = false;
   for (const auto& f : r.findings) {
