@@ -1,9 +1,13 @@
 #include "obs/critical_path.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <ostream>
+#include <span>
+#include <stdexcept>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"  // json_escape
 #include "obs/names.hpp"
@@ -28,30 +32,162 @@ bool is_link(const trace::Span& s) {
   return s.t1 > s.t0;
 }
 
-// Innermost enclosing kPhase label on the step's rank ("" if none). The
-// generic "exchange" phase of flat algorithms yields to any enclosing
-// paper phase: a ring used as the phase-1 building block of a
-// hierarchical collective still attributes its steps to phase1.
-std::string phase_of(const std::vector<trace::Span>& spans,
-                     const trace::Span& step) {
-  const trace::Span* best = nullptr;
-  const trace::Span* best_exchange = nullptr;
-  for (const auto& p : spans) {
-    if (p.kind != trace::Kind::kPhase || p.rank != step.rank) continue;
-    if (names::is_annotation(p.label)) continue;
-    if (p.t0 > step.t0 + kEps || p.t1 + kEps < step.t1) continue;
-    if (p.label == names::kPhaseExchange) {
-      if (best_exchange == nullptr ||
-          p.t1 - p.t0 < best_exchange->t1 - best_exchange->t0) {
-        best_exchange = &p;
-      }
-      continue;
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+// Span indices grouped by an int key (a rank or a peer, -1 included), as
+// one flat CSR array: each group keeps the order the indices were fed in.
+class Groups {
+ public:
+  template <typename KeyOf>
+  Groups(const std::vector<std::uint32_t>& order, KeyOf key_of) {
+    std::vector<std::uint32_t> count;
+    for (const std::uint32_t i : order) {
+      const auto [it, fresh] =
+          id_.try_emplace(key_of(i), static_cast<std::uint32_t>(count.size()));
+      if (fresh) count.push_back(0);
+      ++count[it->second];
     }
-    if (best == nullptr || p.t1 - p.t0 < best->t1 - best->t0) best = &p;
+    // Prefix sums; `count` then serves as each group's fill cursor.
+    start_.assign(count.size() + 1, 0);
+    for (std::size_t g = 0; g < count.size(); ++g) {
+      start_[g + 1] = start_[g] + count[g];
+      count[g] = start_[g];
+    }
+    idx_.resize(order.size());
+    for (const std::uint32_t i : order) idx_[count[id_.at(key_of(i))]++] = i;
   }
-  if (best == nullptr) best = best_exchange;
-  return best != nullptr ? best->label : std::string{};
-}
+
+  std::span<const std::uint32_t> operator[](int key) const {
+    const auto it = id_.find(key);
+    if (it == id_.end()) return {};
+    return {idx_.data() + start_[it->second],
+            idx_.data() + start_[it->second + 1]};
+  }
+
+ private:
+  std::unordered_map<int, std::uint32_t> id_;
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint32_t> idx_;
+};
+
+// The span stream indexed once for the backward walk. Link spans are
+// stable-sorted by t1, so within every list equal-t1 spans sit in span
+// (scan) order; phase spans stay in scan order per rank.
+class SpanIndex {
+ public:
+  explicit SpanIndex(const std::vector<trace::Span>& spans)
+      : spans_(spans),
+        links_(sorted_links(spans)),
+        by_rank_(links_, [&](std::uint32_t i) { return spans[i].rank; }),
+        by_peer_(links_, [&](std::uint32_t i) { return spans[i].peer; }),
+        phases_(phase_spans(spans),
+                [&](std::uint32_t i) { return spans[i].rank; }) {}
+
+  /// The latest-ending link span of the stream (lowest index on ties).
+  std::uint32_t last() const {
+    return best_in(links_, std::numeric_limits<sim::Time>::infinity(), kNone);
+  }
+
+  /// Predecessor of `cur`: the latest-ending span that finished by the
+  /// time `cur` started (lowest index on ties). Spans on cur's rank, on
+  /// its peer rank, or whose peer is cur's rank are the releasing
+  /// dependency, ranked together; fall back to any rank so chains survive
+  /// spans the instrumentation didn't connect.
+  std::uint32_t predecessor(std::uint32_t cur) const {
+    const trace::Span& c = spans_[cur];
+    const sim::Time limit = c.t0 + kEps;
+    std::uint32_t best = kNone;
+    for (const auto list :
+         {by_rank_[c.rank], by_rank_[c.peer], by_peer_[c.rank]}) {
+      const std::uint32_t cand = best_in(list, limit, cur);
+      if (better(cand, best)) best = cand;
+    }
+    return best != kNone ? best : best_in(links_, limit, cur);
+  }
+
+  // Innermost enclosing kPhase label on the step's rank ("" if none). The
+  // generic "exchange" phase of flat algorithms yields to any enclosing
+  // paper phase: a ring used as the phase-1 building block of a
+  // hierarchical collective still attributes its steps to phase1.
+  std::string phase_of(const trace::Span& step) const {
+    const trace::Span* best = nullptr;
+    const trace::Span* best_exchange = nullptr;
+    for (const std::uint32_t i : phases_[step.rank]) {
+      const trace::Span& p = spans_[i];
+      if (p.t0 > step.t0 + kEps || p.t1 + kEps < step.t1) continue;
+      if (p.label == names::kPhaseExchange) {
+        if (best_exchange == nullptr ||
+            p.t1 - p.t0 < best_exchange->t1 - best_exchange->t0) {
+          best_exchange = &p;
+        }
+        continue;
+      }
+      if (best == nullptr || p.t1 - p.t0 < best->t1 - best->t0) best = &p;
+    }
+    if (best == nullptr) best = best_exchange;
+    return best != nullptr ? best->label : std::string{};
+  }
+
+ private:
+  static std::vector<std::uint32_t> sorted_links(
+      const std::vector<trace::Span>& spans) {
+    std::vector<std::uint32_t> out;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (is_link(spans[i])) out.push_back(static_cast<std::uint32_t>(i));
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return spans[a].t1 < spans[b].t1;
+                     });
+    return out;
+  }
+
+  static std::vector<std::uint32_t> phase_spans(
+      const std::vector<trace::Span>& spans) {
+    std::vector<std::uint32_t> out;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      const trace::Span& s = spans[i];
+      if (s.kind == trace::Kind::kPhase && !names::is_annotation(s.label)) {
+        out.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    return out;
+  }
+
+  // Later t1 wins; among equal t1 the lower span index (first in scan
+  // order) wins.
+  bool better(std::uint32_t a, std::uint32_t b) const {
+    if (a == kNone) return false;
+    if (b == kNone) return true;
+    const sim::Time ta = spans_[a].t1;
+    const sim::Time tb = spans_[b].t1;
+    return ta > tb || (!(tb > ta) && a < b);
+  }
+
+  // Best span of a t1-sorted list with t1 <= limit, skipping `self`.
+  std::uint32_t best_in(std::span<const std::uint32_t> list, sim::Time limit,
+                        std::uint32_t self) const {
+    auto end = std::upper_bound(
+        list.begin(), list.end(), limit,
+        [&](sim::Time t, std::uint32_t i) { return t < spans_[i].t1; });
+    while (end != list.begin()) {
+      const sim::Time t1 = spans_[*(end - 1)].t1;
+      const auto first = std::lower_bound(
+          list.begin(), end, t1,
+          [&](std::uint32_t i, sim::Time t) { return spans_[i].t1 < t; });
+      if (*first != self) return *first;
+      if (first + 1 != end) return first[1];
+      end = first;
+    }
+    return kNone;
+  }
+
+  const std::vector<trace::Span>& spans_;
+  std::vector<std::uint32_t> links_;
+  Groups by_rank_;
+  Groups by_peer_;
+  Groups phases_;
+};
 
 // Merge a span-interval list into a disjoint sorted union.
 std::vector<std::pair<sim::Time, sim::Time>> merged(
@@ -87,46 +223,35 @@ CriticalPathReport analyze_critical_path(
     const std::vector<trace::Span>& spans) {
   CriticalPathReport rep;
 
-  // Start at the latest-ending real activity.
-  const trace::Span* cur = nullptr;
-  for (const auto& s : spans) {
-    if (!is_link(s)) continue;
-    if (cur == nullptr || s.t1 > cur->t1) cur = &s;
+  if (spans.size() > kNone) {
+    throw std::length_error("analyze_critical_path: more than 2^32-1 spans");
   }
-  if (cur == nullptr) return rep;
+  const SpanIndex index(spans);
 
-  std::vector<const trace::Span*> chain;
-  while (cur != nullptr && chain.size() < spans.size()) {
+  // Walk back from the latest-ending real activity. Spans shorter than
+  // kEps can make a predecessor's predecessor the span itself; the walk
+  // stops at the first span already on the chain, so the chain is a
+  // simple path and no time is counted twice.
+  std::vector<bool> on_chain(spans.size());
+  std::vector<std::uint32_t> chain;
+  for (std::uint32_t cur = index.last(); cur != kNone && !on_chain[cur];
+       cur = index.predecessor(cur)) {
+    on_chain[cur] = true;
     chain.push_back(cur);
-    // Predecessor: the latest-ending span that finished by the time `cur`
-    // started. A span on the same rank or across cur's message edge
-    // (peer -> rank) is the releasing dependency; fall back to any rank
-    // so chains survive spans the instrumentation didn't connect.
-    const trace::Span* best_related = nullptr;
-    const trace::Span* best_any = nullptr;
-    for (const auto& s : spans) {
-      if (!is_link(s) || &s == cur) continue;
-      if (s.t1 > cur->t0 + kEps) continue;
-      const bool related = s.rank == cur->rank || s.rank == cur->peer ||
-                           s.peer == cur->rank;
-      if (related && (best_related == nullptr || s.t1 > best_related->t1)) {
-        best_related = &s;
-      }
-      if (best_any == nullptr || s.t1 > best_any->t1) best_any = &s;
-    }
-    cur = best_related != nullptr ? best_related : best_any;
   }
   std::reverse(chain.begin(), chain.end());
 
-  for (const trace::Span* s : chain) {
-    const sim::Duration d = s->t1 - s->t0;
-    std::string phase = phase_of(spans, *s);
-    rep.steps.push_back(CriticalPathReport::Step{
-        s->rank, s->kind, s->t0, s->t1, s->peer, s->bytes, s->label, phase});
-    rep.total += d;
-    rep.by_kind[trace::kind_name(s->kind)] += d;
+  for (const std::uint32_t i : chain) {
+    const trace::Span& s = spans[i];
+    const sim::Duration d = s.t1 - s.t0;
+    std::string phase = index.phase_of(s);
+    rep.by_kind[trace::kind_name(s.kind)] += d;
     if (!phase.empty()) rep.by_phase[phase] += d;
-    rep.by_phase_kind[phase][trace::kind_name(s->kind)] += d;
+    rep.by_phase_kind[phase][trace::kind_name(s.kind)] += d;
+    rep.total += d;
+    rep.steps.push_back(CriticalPathReport::Step{
+        s.rank, s.kind, s.t0, s.t1, s.peer, s.bytes, s.label,
+        std::move(phase)});
   }
 
   // Dominant kind: the longest contributor that isn't blocked time — waits
@@ -232,11 +357,16 @@ double phase_overlap_fraction(const std::vector<trace::Span>& spans) {
   const sim::Duration len3 = total_len(u3);
   if (!(len3 > 0)) return 0.0;
 
+  // Both unions are sorted and disjoint, so the phase-3 intervals that
+  // overlap one phase-2 interval form a run that only moves forward. The
+  // sweep adds the overlaps in the (i2, i3) order of an all-pairs loop.
   sim::Duration inter = 0;
+  std::size_t j = 0;
   for (const auto& [a2, b2] : u2) {
-    for (const auto& [a3, b3] : u3) {
-      const sim::Time lo = std::max(a2, a3);
-      const sim::Time hi = std::min(b2, b3);
+    while (j < u3.size() && u3[j].second <= a2) ++j;
+    for (std::size_t k = j; k < u3.size() && u3[k].first < b2; ++k) {
+      const sim::Time lo = std::max(a2, u3[k].first);
+      const sim::Time hi = std::min(b2, u3[k].second);
       if (hi > lo) inter += hi - lo;
     }
   }

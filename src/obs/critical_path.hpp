@@ -3,11 +3,13 @@
 // The simulator's spans form an implicit dependency graph: a span cannot
 // start until the work it waits on has finished, and message spans carry a
 // `peer` edge to the rank that produced the data. The analyzer walks that
-// graph backward from the last-finishing activity, at each step picking the
-// latest-ending span that could have released the current one (same rank
-// first, then the peer rank), yielding the longest dependency chain of one
-// collective invocation — the part where speeding anything else up would
-// not move the finish line.
+// graph backward from the last-finishing activity. At each step it picks the
+// latest-ending span that could have released the current one. Spans on
+// the current rank, on its peer rank, or whose peer is the current rank
+// are "related" and ranked together; the walk falls back to any rank only
+// when no related span qualifies. The result is the longest dependency
+// chain of one collective invocation — the part where speeding anything
+// else up would not move the finish line.
 #pragma once
 
 #include <iosfwd>
@@ -59,7 +61,9 @@ struct CriticalPathReport {
 
 /// Walk `spans` backward from the latest-ending non-phase span and return
 /// the longest dependency chain. Phase (kPhase) spans are not chain links;
-/// they only provide the per-step `phase` attribution.
+/// they only provide the per-step `phase` attribution. Ties go to the
+/// lowest span index; the chain never visits a span twice. Cost:
+/// O(spans log spans + steps log spans).
 CriticalPathReport analyze_critical_path(const std::vector<trace::Span>& spans);
 
 /// Fraction of phase-3 time that overlaps phase-2 time, computed on the
