@@ -34,24 +34,6 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-// Node-shared-object key: collective ops are identified by (context,
-// sequence) plus a small salt for multiple objects per op.
-std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
-
-// Member-side drain of publication slot `i`: the chunk's offset/len are
-// only known at publish time, so the body reads them when released.
-sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
-                                   int grank, std::size_t i,
-                                   hw::BufView recv) {
-  const auto c = region->chunk(i);
-  if (c.len > 0) {
-    co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
-  }
-}
-
 // Seed task shared by the graph-native flat algorithms. Returns -1 when no
 // task is needed (in place / zero bytes).
 int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
@@ -122,7 +104,7 @@ sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
   // ---- Phase 1: members share blocks with the group leader via shm ----
   const std::size_t group_block = static_cast<std::size_t>(gs) * msg;
   auto region1 = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, group), gs, [&] {
+      node, shm::op_key(comm.ctx(), seq, group), gs, [&] {
         return std::make_shared<shm::ShmRegion>(cl, node, group_block, sink);
       });
   const std::size_t my_block_off = static_cast<std::size_t>(my) * msg;
@@ -157,7 +139,7 @@ sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
   // ---- Phase 3: node-level broadcast of the full result via shm ----
   const std::size_t total = recv.len;
   auto region3 = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, groups + 1), ppn, [&] {
+      node, shm::op_key(comm.ctx(), seq, groups + 1), ppn, [&] {
         return std::make_shared<shm::ShmRegion>(cl, node, total, sink);
       });
   if (is_leader) {
@@ -467,7 +449,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
     // ---- Phase 3, leader side: publish each remote node block ----
     if (ppn > 1) {
       auto region = comm.share().acquire<shm::ShmRegion>(
-          node, op_key(comm.ctx(), seq, 7), ppn, [&] {
+          node, shm::op_key(comm.ctx(), seq, 7), ppn, [&] {
             return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
                                                     comm.sink());
           });
@@ -488,7 +470,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
   } else {
     // ---- Phase 3, member side: drain publication slots as they land ----
     auto region = comm.share().acquire<shm::ShmRegion>(
-        node, op_key(comm.ctx(), seq, 7), ppn, [&] {
+        node, shm::op_key(comm.ctx(), seq, 7), ppn, [&] {
           return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
                                                   comm.sink());
         });
@@ -498,7 +480,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
       const int t = g.add(
           TaskKind::kShmOut, Lane::kShm,
           [region, grank, i, recv] {
-            return copy_out_published(region, grank,
+            return shm::copy_out_published(region, grank,
                                       static_cast<std::size_t>(i), recv);
           },
           TaskOpts{"out", "phase3", i, 0, -1, -1});

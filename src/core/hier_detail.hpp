@@ -1,28 +1,25 @@
 // Internal helpers shared by the hierarchical collective engines
-// (core/hierarchical.cpp and core/hierarchy.cpp). Not part of the public
-// API — everything here is an implementation convention of how node-share
-// keys and stage partitions are handled.
+// (core/hierarchical.cpp, core/hierarchy.cpp and core/mha_allgatherv.cpp).
+// Not part of the public API — everything here is an implementation
+// convention of how node-share keys, stage partitions and the leader
+// exchange are handled.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "coll/graph.hpp"
+#include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
+#include "shm/shm.hpp"
 
 namespace hmca::core::detail {
 
-/// Node-share key of one collective invocation: the per-rank op sequence
-/// number disambiguates invocations, the comm context id disambiguates
-/// communicators, and the 4-bit salt disambiguates the shared objects of
-/// one invocation.
-inline std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
-
 /// A block of distinct node-share keys for one collective invocation. The
-/// salt field of op_key holds 4 bits, so each consumed sequence number
+/// salt field of shm::op_key holds 4 bits, so each consumed sequence number
 /// yields 15 usable keys (salt 0 is reserved for single-key callers);
 /// every rank constructs the allocator at the same point of the SPMD
 /// program, so the consumed sequence numbers — and therefore key(i) —
@@ -35,8 +32,8 @@ class KeyAlloc {
     for (int i = 0; i < seqs; ++i) seqs_.push_back(comm.next_op_seq(my));
   }
   std::uint64_t key(int i) const {
-    return op_key(ctx_, seqs_.at(static_cast<std::size_t>(i) / 15),
-                  1 + i % 15);
+    return shm::op_key(ctx_, seqs_.at(static_cast<std::size_t>(i) / 15),
+                       1 + i % 15);
   }
 
  private:
@@ -52,5 +49,30 @@ inline int group_of(const std::vector<int>& firsts, int local) {
                           firsts.begin()) -
          1;
 }
+
+/// Whether a leader Ring over `nodes` blocks can tag its chunk messages
+/// step * kChunkTagStride + chunk inside the user tag space. Longer rings
+/// move whole blocks tagged by step.
+inline bool ring_chunk_tags_fit(int nodes) {
+  return static_cast<long long>(nodes - 2) * coll::kChunkTagStride +
+             coll::kMaxChunks - 1 <=
+         mpi::kMaxUserTag;
+}
+
+/// Phases 2 and 3 of a hierarchical gather over a leader Ring, for every
+/// rank of the world `comm`. Node k's block of `recv` is the byte range
+/// [block_off[k], block_off[k + 1]) (blocks may be uneven or empty). The
+/// leader emits per-chunk send, recv and publish tasks: its first sends
+/// wait on the phase-1 producers of their bytes in `prod`, later sends
+/// forward the chunk received one step earlier, and every landed chunk is
+/// published into `region` (nullptr on one-rank nodes). Members emit one
+/// drain task per publication slot. `fence` is barrier mode: one chunk
+/// per block and a phase-3 fence. Rings too long for the (step, chunk)
+/// tag encoding also move whole blocks, tagged by step.
+void build_leader_ring(coll::TaskGraph& g, coll::GraphExecutor& exec,
+                       mpi::Comm& comm, int my, hw::BufView recv,
+                       const std::vector<std::size_t>& block_off,
+                       const coll::RangeProducers& prod, bool fence,
+                       const std::shared_ptr<shm::ShmRegion>& region);
 
 }  // namespace hmca::core::detail

@@ -13,34 +13,14 @@
 #include "core/mha_intra.hpp"
 #include "model/cost.hpp"
 #include "shm/shm.hpp"
-#include "sim/sync.hpp"
 
 namespace hmca::core {
 
 namespace {
 
-using detail::op_key;
-
 using detail::group_of;
 using detail::KeyAlloc;
-
-// Number of chunks the leader publishes in phase 3 (legacy path: one per
-// ring step / RD step).
-int publish_count(Phase2Algo algo, int nodes) {
-  if (nodes <= 1) return 0;
-  return algo == Phase2Algo::kRing ? nodes - 1 : coll::log2_floor(nodes);
-}
-
-// Member-side drain of publication slot `i`: chunk identity (offset/len)
-// is only known at publish time, so the body reads it when released.
-sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
-                                   int grank, std::size_t i,
-                                   hw::BufView recv) {
-  const auto c = region->chunk(i);
-  if (c.len > 0) {
-    co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
-  }
-}
+using shm::op_key;
 
 // Phase 1 via a double-copy shared-memory gather (Mamidala-style): every
 // rank copies its contribution in, waits for all, then copies the L-1 peer
@@ -182,165 +162,125 @@ sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
+// Leader-side publish of an empty chunk: a zero-length marker (no copy
+// startup) that keeps member slot indices aligned.
+sim::Task<void> publish_marker(std::shared_ptr<shm::ShmRegion> region,
+                               std::size_t off) {
+  region->publish(off, 0);
+  co_return;
+}
+
+// Leader-side publish of one landed phase-2 chunk at offset `off`.
+sim::Task<void> publish_chunk(const std::shared_ptr<shm::ShmRegion>& region,
+                              int grank, hw::BufView src, std::size_t off) {
+  return src.len > 0 ? region->copy_in_publish(grank, src, off)
+                     : publish_marker(region, off);
+}
+
+// Phase-3 drain of a non-leader rank: one task per publication slot of
+// `region`, released by its publish listener as the leader's copies land.
+void add_member_drains(coll::TaskGraph& g, coll::GraphExecutor& exec,
+                       const std::shared_ptr<shm::ShmRegion>& region,
+                       int grank, hw::BufView recv, int publishes) {
+  std::vector<int> outs;
+  outs.reserve(static_cast<std::size_t>(publishes));
+  for (int i = 0; i < publishes; ++i) {
+    const int t = g.add(
+        coll::TaskKind::kShmOut, coll::Lane::kShm,
+        [region, grank, i, recv] {
+          return shm::copy_out_published(region, grank,
+                                         static_cast<std::size_t>(i), recv);
+        },
+        coll::TaskOpts{"p3 out", "phase3", i, 0, -1, -1});
+    g.depend_external(t);
+    outs.push_back(t);
+  }
+  region->add_publish_listener([&exec, outs](std::size_t idx) {
+    if (idx < outs.size()) exec.satisfy(outs[idx]);
+  });
+}
+
+// A leader's phase-2/3 chunk tasks over its recv buffer `buf`: sends, and
+// pre-posted recvs whose landing publishes the chunk into the node's
+// region (nullptr on one-rank nodes). In barrier mode every recv feeds one
+// no-op fence task and every publish waits on it, so no publish starts
+// before the whole exchange has landed — O(recvs + publishes) edges.
+struct LeaderTasks {
+  LeaderTasks(coll::TaskGraph& graph, coll::GraphExecutor& executor,
+              mpi::Comm& comm, int my, hw::BufView recv,
+              const std::shared_ptr<shm::ShmRegion>& shared, bool fenced)
+      : g(graph),
+        exec(executor),
+        lcomm(comm.world().leader_comm()),
+        node(comm.node_of(my)),
+        grank(comm.to_global(my)),
+        buf(recv),
+        region(shared),
+        fence(fenced ? g.add(coll::TaskKind::kRecv, coll::Lane::kNone,
+                             [] { return coll::noop_task(); },
+                             coll::TaskOpts{"p2 fence", "phase2", -1, 0, -1,
+                                            -1})
+                     : -1) {}
+
+  // Send of buf[off, off + len) to leader `to`; the caller adds its deps.
+  int send(int to, int tag, std::size_t off, std::size_t len,
+           const std::string& step, int c) {
+    return g.add(
+        coll::TaskKind::kSend, coll::Lane::kNic,
+        [&lc = lcomm, n = node, to, tag, data = buf.sub(off, len)] {
+          return lc.send(n, to, tag, data);
+        },
+        coll::TaskOpts{"p2 send " + step, "phase2", c, len, -1,
+                       lcomm.to_global(to)});
+  }
+
+  // Pre-posted recv of buf[off, off + len) from leader `from`, plus the
+  // publish of the landed chunk.
+  int recv_publish(int from, int tag, std::size_t off, std::size_t len,
+                   const std::string& step, int c) {
+    const int t_recv = g.add(
+        coll::TaskKind::kRecv, coll::Lane::kNone,
+        [] { return coll::noop_task(); },
+        coll::TaskOpts{"p2 recv " + step, "phase2", c, len, -1,
+                       lcomm.to_global(from)});
+    g.depend_external(t_recv);
+    lcomm.irecv(node, from, tag, buf.sub(off, len))
+        .on_done([ex = &exec, t_recv] { ex->satisfy(t_recv); });
+    if (fence >= 0) g.depend(fence, t_recv);
+    if (region != nullptr) {
+      const int t_pub = g.add(
+          coll::TaskKind::kShmIn, coll::Lane::kShm,
+          [r = region, gr = grank, src = buf.sub(off, len), off] {
+            return publish_chunk(r, gr, src, off);
+          },
+          coll::TaskOpts{"p3 pub " + step, "phase2", c, len, -1, -1});
+      g.depend(t_pub, fence >= 0 ? fence : t_recv);
+    }
+    return t_recv;
+  }
+
+  coll::TaskGraph& g;
+  coll::GraphExecutor& exec;
+  mpi::Comm& lcomm;
+  int node;
+  int grank;
+  hw::BufView buf;
+  const std::shared_ptr<shm::ShmRegion>& region;
+  int fence;  // fence task id, -1 = publishes follow their own recv
+};
+
 // A plan that is one MHA-intra over the whole node (no staging).
 bool single_stage(const NodePlan* plan) {
   return plan == nullptr || plan->stages.size() <= 1;
 }
 
-// Leader-side phase 2+3: Ring variant (legacy phase-sequential path).
-sim::Task<void> leader_ring(mpi::Comm& lcomm, int node, hw::BufView recv,
-                            std::size_t chunk, shm::ShmRegion* region,
-                            bool overlap, int grank, sim::Engine& eng) {
-  const int n = lcomm.size();
-  const int right = (node + 1) % n;
-  const int left = (node - 1 + n) % n;
-  sim::WaitGroup publishes(eng);
-  int cur = node;
-  for (int step = 0; step < n - 1; ++step) {
-    const int incoming = (cur - 1 + n) % n;
-    co_await lcomm.sendrecv(
-        node, right, step, recv.sub(static_cast<std::size_t>(cur) * chunk, chunk),
-        left, step,
-        recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk));
-    if (region != nullptr && overlap) {
-      // Publish concurrently: the next ring step's wire transfer overlaps
-      // this chunk's shm copy (Fig. 6).
-      publishes.spawn(region->copy_in_publish(
-          grank, recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk),
-          static_cast<std::size_t>(incoming) * chunk));
-    }
-    cur = incoming;
-  }
-  if (region != nullptr && !overlap) {
-    // Strict phase separation: distribute only after the exchange is done.
-    cur = node;
-    for (int step = 0; step < n - 1; ++step) {
-      const int incoming = (cur - 1 + n) % n;
-      co_await region->copy_in_publish(
-          grank, recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk),
-          static_cast<std::size_t>(incoming) * chunk);
-      cur = incoming;
-    }
-  }
-  co_await publishes.wait();
-}
-
-// Leader-side phase 2+3: Recursive Doubling variant (power-of-two nodes,
-// legacy phase-sequential path).
-sim::Task<void> leader_rd(mpi::Comm& lcomm, int node, hw::BufView recv,
-                          std::size_t chunk, shm::ShmRegion* region,
-                          bool overlap, int grank, sim::Engine& eng) {
-  const int n = lcomm.size();
-  sim::WaitGroup publishes(eng);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // for !overlap
-  for (int k = 0; (1 << k) < n; ++k) {
-    const int dist = 1 << k;
-    const int partner = node ^ dist;
-    const std::size_t own_base =
-        static_cast<std::size_t>(node & ~(dist - 1)) * chunk;
-    const std::size_t partner_base =
-        static_cast<std::size_t>(partner & ~(dist - 1)) * chunk;
-    const std::size_t len = static_cast<std::size_t>(dist) * chunk;
-    co_await lcomm.sendrecv(node, partner, k, recv.sub(own_base, len), partner,
-                            k, recv.sub(partner_base, len));
-    if (region != nullptr && overlap) {
-      publishes.spawn(region->copy_in_publish(grank, recv.sub(partner_base, len),
-                                              partner_base));
-    } else if (region != nullptr) {
-      ranges.emplace_back(partner_base, len);
-    }
-  }
-  for (const auto& [off, len] : ranges) {
-    co_await region->copy_in_publish(grank, recv.sub(off, len), off);
-  }
-  co_await publishes.wait();
-}
-
-// The original phase-sequential execution: phase 1 completes behind a hard
-// boundary before any inter-node traffic, with the hand-built phase-2/3
-// overlap inside leader_ring/leader_rd. Kept as the pipeline-pair baseline
-// and the overlap-ablation vehicle.
-sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
-                             hw::BufView recv, std::size_t msg, bool in_place,
-                             HierOptions opts, Phase2Algo algo) {
-  auto& cl = comm.cluster();
-  const int l = cl.ppn();
-  const int n = cl.nodes();
-  const int node = comm.node_of(my);
-  const int local = comm.node_local_rank(my);
-  const bool leader = (local == 0);
-  const std::uint64_t seq = comm.next_op_seq(my);
-  const std::size_t chunk = static_cast<std::size_t>(l) * msg;
-  const hw::BufView node_slice =
-      recv.sub(static_cast<std::size_t>(node) * chunk, chunk);
-
-  auto& eng = comm.engine();
-  obs::Sink& sink = comm.sink();
-
-  // ---- Phase 1: node-level aggregation ----
-  // Phase spans ("phase1"/"phase2"/"phase3") feed the critical-path
-  // analyzer's attribution and the phase-2/3 overlap-fraction report.
-  auto p1 = sink.open(comm.to_global(my), trace::Kind::kPhase, eng.now(), -1,
-                      msg, "phase1");
-  if (l == 1) {
-    co_await coll::seed_own_block(comm, my, send, recv, msg, in_place);
-  } else if (opts.phase1 == Phase1Mode::kShmGather) {
-    co_await shm_gather_phase1(comm, my, send, node_slice, msg, in_place, node,
-                               local, l, seq);
-  } else if (single_stage(opts.plan)) {
-    co_await allgather_mha_intra(comm.world().node_comm(node), local, send,
-                                 node_slice, msg, in_place, opts.offload);
-  } else {
-    co_await plan_phase1(comm, my, send, node_slice, msg, in_place, node,
-                         local, l, *opts.plan, opts.offload);
-  }
-  p1.close(eng.now());
-  if (n == 1) co_return;
-
-  // ---- Phases 2 + 3 ----
-  std::shared_ptr<shm::ShmRegion> region;
-  if (l > 1) {
-    region = comm.share().acquire<shm::ShmRegion>(
-        node, op_key(comm.ctx(), seq, 2), l, [&] {
-          return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
-                                                  comm.sink());
-        });
-  }
-
-  if (leader) {
-    auto p2 = sink.open(comm.to_global(my), trace::Kind::kPhase, eng.now(), -1,
-                        recv.len, "phase2");
-    auto& lcomm = comm.world().leader_comm();
-    if (algo == Phase2Algo::kRing) {
-      co_await leader_ring(lcomm, node, recv, chunk, region.get(),
-                           opts.overlap, comm.to_global(my), eng);
-    } else {
-      co_await leader_rd(lcomm, node, recv, chunk, region.get(), opts.overlap,
-                         comm.to_global(my), eng);
-    }
-    p2.close(eng.now());
-  } else {
-    // Members drain published chunks as they appear; region offsets mirror
-    // the recv buffer layout.
-    auto p3 = sink.open(comm.to_global(my), trace::Kind::kPhase, eng.now(), -1,
-                        recv.len, "phase3");
-    const int chunks = publish_count(algo, n);
-    for (int i = 0; i < chunks; ++i) {
-      co_await region->wait_published(static_cast<std::size_t>(i) + 1);
-      const auto c = region->chunk(static_cast<std::size_t>(i));
-      co_await region->copy_out(comm.to_global(my), static_cast<std::size_t>(i),
-                                recv.sub(c.offset, c.len));
-    }
-    p3.close(eng.now());
-  }
-}
-
-// The dataflow execution: one task graph per rank, phase boundaries
-// replaced by byte-range dependencies. Leaders pre-post every phase-2
-// recv; recv completions release chunk sends of the next step and the
-// publish task of the landed chunk through external-dependency callbacks;
-// members drain publication slots as the leader's publish callbacks
-// release them — all three phases stream chunk by chunk.
+// The one execution of every mode: a task graph per rank, phase
+// boundaries replaced by byte-range dependencies. Leaders pre-post every
+// phase-2 recv; recv completions release chunk sends of the next step and
+// the publish task of the landed chunk through external-dependency
+// callbacks; members drain publication slots as the leader's publish
+// callbacks release them — all three phases stream chunk by chunk. With
+// overlap off the same graph moves whole blocks and fences phase 3.
 sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
                            hw::BufView recv, std::size_t msg, bool in_place,
                            HierOptions opts, Phase2Algo algo) {
@@ -417,156 +357,134 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
         });
   }
 
-  if (leader) {
-    auto& lcomm = comm.world().leader_comm();
-    if (algo == Phase2Algo::kRing) {
-      const int right = (node + 1) % n;
-      const int left = (node - 1 + n) % n;
-      const int right_g = lcomm.to_global(right);
-      const int left_g = lcomm.to_global(left);
-      const int chunks = coll::chunks_for(chunk);
-      if ((n - 2) * coll::kChunkTagStride + chunks > mpi::kMaxUserTag) {
-        throw std::invalid_argument(
-            "allgather_hierarchical: ring steps exceed the tag space");
-      }
-      std::vector<int> prev_recv(static_cast<std::size_t>(chunks), -1);
-      for (int s = 0; s < n - 1; ++s) {
-        const int out_b = (node - s + n) % n;
-        const int in_b = (node - s - 1 + 2 * n) % n;
-        for (int c = 0; c < chunks; ++c) {
-          const auto [coff, clen] = coll::chunk_range(chunk, chunks, c);
-          const int tag = s * coll::kChunkTagStride + c;
-          const std::size_t out_off =
-              static_cast<std::size_t>(out_b) * chunk + coff;
-          const std::size_t in_off =
-              static_cast<std::size_t>(in_b) * chunk + coff;
-
-          const int t_send = g.add(
-              coll::TaskKind::kSend, coll::Lane::kNic,
-              [&lcomm, node, right, tag, recv, out_off, clen] {
-                return lcomm.send(node, right, tag, recv.sub(out_off, clen));
-              },
-              coll::TaskOpts{"p2 send s" + std::to_string(s), "phase2", c,
-                             clen, -1, right_g});
-          if (s == 0) {
-            for (const int p : prod.covering(out_off, clen)) {
-              g.depend(t_send, p);
-            }
-          } else {
-            g.depend(t_send, prev_recv[static_cast<std::size_t>(c)]);
-          }
-
-          const int t_recv = g.add(
-              coll::TaskKind::kRecv, coll::Lane::kNone,
-              [] { return coll::noop_task(); },
-              coll::TaskOpts{"p2 recv s" + std::to_string(s), "phase2", c,
-                             clen, -1, left_g});
-          g.depend_external(t_recv);
-          lcomm.irecv(node, left, tag, recv.sub(in_off, clen))
-              .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-          prev_recv[static_cast<std::size_t>(c)] = t_recv;
-
-          if (region != nullptr) {
-            const int t_pub = g.add(
-                coll::TaskKind::kShmIn, coll::Lane::kShm,
-                [region, grank, recv, in_off, clen] {
-                  return region->copy_in_publish(grank,
-                                                 recv.sub(in_off, clen),
-                                                 in_off);
-                },
-                coll::TaskOpts{"p3 pub s" + std::to_string(s), "phase2", c,
-                               clen, -1, -1});
-            g.depend(t_pub, t_recv);
-          }
+  // Barrier mode (overlap off) moves one message per node block (Ring) or
+  // per step (RD) and fences phase 3 behind the leader's last phase-2
+  // recv. Whole-block first sends already wait on every phase-1 producer
+  // of the node block, so phase 1 needs no fence of its own.
+  const bool fence = !opts.overlap;
+  if (algo == Phase2Algo::kRing) {
+    std::vector<std::size_t> block_off(static_cast<std::size_t>(n) + 1);
+    for (int k = 0; k <= n; ++k) {
+      block_off[static_cast<std::size_t>(k)] =
+          static_cast<std::size_t>(k) * chunk;
+    }
+    detail::build_leader_ring(g, exec, comm, my, recv, block_off, prod, fence,
+                              region);
+  } else if (leader) {  // Recursive Doubling
+    LeaderTasks tasks(g, exec, comm, my, recv, region, fence);
+    for (int k = 0; (1 << k) < n; ++k) {
+      const int dist = 1 << k;
+      const int partner = node ^ dist;
+      const std::size_t own_base =
+          static_cast<std::size_t>(node & ~(dist - 1)) * chunk;
+      const std::size_t partner_base =
+          static_cast<std::size_t>(partner & ~(dist - 1)) * chunk;
+      const std::size_t len = static_cast<std::size_t>(dist) * chunk;
+      const int chunks = fence ? 1 : coll::chunks_for(len);
+      const std::string step = "k" + std::to_string(k);
+      for (int c = 0; c < chunks; ++c) {
+        const auto [coff, clen] = coll::chunk_range(len, chunks, c);
+        const int tag = k * coll::kChunkTagStride + c;
+        const int t_send =
+            tasks.send(partner, tag, own_base + coff, clen, step, c);
+        for (const int p : prod.covering(own_base + coff, clen)) {
+          g.depend(t_send, p);
         }
-      }
-    } else {  // Recursive Doubling
-      for (int k = 0; (1 << k) < n; ++k) {
-        const int dist = 1 << k;
-        const int partner = node ^ dist;
-        const int partner_g = lcomm.to_global(partner);
-        const std::size_t own_base =
-            static_cast<std::size_t>(node & ~(dist - 1)) * chunk;
-        const std::size_t partner_base =
-            static_cast<std::size_t>(partner & ~(dist - 1)) * chunk;
-        const std::size_t len = static_cast<std::size_t>(dist) * chunk;
-        const int chunks = coll::chunks_for(len);
-        for (int c = 0; c < chunks; ++c) {
-          const auto [coff, clen] = coll::chunk_range(len, chunks, c);
-          const int tag = k * coll::kChunkTagStride + c;
-
-          const int t_send = g.add(
-              coll::TaskKind::kSend, coll::Lane::kNic,
-              [&lcomm, node, partner, tag, recv, own_base, coff, clen] {
-                return lcomm.send(node, partner, tag,
-                                  recv.sub(own_base + coff, clen));
-              },
-              coll::TaskOpts{"p2 send k" + std::to_string(k), "phase2", c,
-                             clen, -1, partner_g});
-          for (const int p : prod.covering(own_base + coff, clen)) {
-            g.depend(t_send, p);
-          }
-
-          const int t_recv = g.add(
-              coll::TaskKind::kRecv, coll::Lane::kNone,
-              [] { return coll::noop_task(); },
-              coll::TaskOpts{"p2 recv k" + std::to_string(k), "phase2", c,
-                             clen, -1, partner_g});
-          g.depend_external(t_recv);
-          lcomm.irecv(node, partner, tag, recv.sub(partner_base + coff, clen))
-              .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-          prod.add(partner_base + coff, clen, t_recv);
-
-          if (region != nullptr) {
-            const std::size_t in_off = partner_base + coff;
-            const int t_pub = g.add(
-                coll::TaskKind::kShmIn, coll::Lane::kShm,
-                [region, grank, recv, in_off, clen] {
-                  return region->copy_in_publish(grank,
-                                                 recv.sub(in_off, clen),
-                                                 in_off);
-                },
-                coll::TaskOpts{"p3 pub k" + std::to_string(k), "phase2", c,
-                               clen, -1, -1});
-            g.depend(t_pub, t_recv);
-          }
-        }
+        prod.add(partner_base + coff, clen,
+                 tasks.recv_publish(partner, tag, partner_base + coff, clen,
+                                    step, c));
       }
     }
   } else {
-    // Members allocate one drain task per publication slot; the region's
-    // publish callback releases slot i the moment the leader's copy lands.
     int publishes = 0;
-    if (algo == Phase2Algo::kRing) {
-      publishes = (n - 1) * coll::chunks_for(chunk);
-    } else {
-      for (int k = 0; (1 << k) < n; ++k) {
-        publishes +=
-            coll::chunks_for(static_cast<std::size_t>(1 << k) * chunk);
-      }
+    for (int k = 0; (1 << k) < n; ++k) {
+      publishes +=
+          fence ? 1
+                : coll::chunks_for(static_cast<std::size_t>(1 << k) * chunk);
     }
-    std::vector<int> outs;
-    outs.reserve(static_cast<std::size_t>(publishes));
-    for (int i = 0; i < publishes; ++i) {
-      const int t = g.add(
-          coll::TaskKind::kShmOut, coll::Lane::kShm,
-          [region, grank, i, recv] {
-            return copy_out_published(region, grank,
-                                      static_cast<std::size_t>(i), recv);
-          },
-          coll::TaskOpts{"p3 out", "phase3", i, 0, -1, -1});
-      g.depend_external(t);
-      outs.push_back(t);
-    }
-    region->add_publish_listener([&exec, outs](std::size_t idx) {
-      if (idx < outs.size()) exec.satisfy(outs[idx]);
-    });
+    add_member_drains(g, exec, region, grank, recv, publishes);
   }
 
   co_await exec.run(g);
 }
 
 }  // namespace
+
+namespace detail {
+
+void build_leader_ring(coll::TaskGraph& g, coll::GraphExecutor& exec,
+                       mpi::Comm& comm, int my, hw::BufView recv,
+                       const std::vector<std::size_t>& block_off,
+                       const coll::RangeProducers& prod, bool fence,
+                       const std::shared_ptr<shm::ShmRegion>& region) {
+  const int n = static_cast<int>(block_off.size()) - 1;
+  const int node = comm.node_of(my);
+  auto block_bytes = [&block_off](int b) {
+    return block_off[static_cast<std::size_t>(b) + 1] -
+           block_off[static_cast<std::size_t>(b)];
+  };
+  // Chunk counts derive from the shared geometry alone, so the sender and
+  // receiver of every hop and the members' slot count agree. Equal blocks
+  // (every allgather) reuse one count.
+  const bool chunked = !fence && ring_chunk_tags_fit(n);
+  const int stride = chunked ? coll::kChunkTagStride : 1;
+  std::vector<int> chunks(static_cast<std::size_t>(n), 1);
+  for (int b = 0; chunked && b < n; ++b) {
+    chunks[static_cast<std::size_t>(b)] =
+        b > 0 && block_bytes(b) == block_bytes(b - 1)
+            ? chunks[static_cast<std::size_t>(b) - 1]
+            : coll::chunks_for(block_bytes(b));
+  }
+
+  if (comm.node_local_rank(my) != 0) {
+    int publishes = 0;
+    for (int b = 0; b < n; ++b) {
+      if (b != node) publishes += chunks[static_cast<std::size_t>(b)];
+    }
+    add_member_drains(g, exec, region, comm.to_global(my), recv, publishes);
+    return;
+  }
+
+  LeaderTasks tasks(g, exec, comm, my, recv, region, fence);
+  const int right = (node + 1) % n;
+  const int left = (node - 1 + n) % n;
+  // Recv tasks per chunk of the block received last step (forwarded now)
+  // and of the block received this step.
+  std::vector<int> prev_recv, cur_recv;
+  for (int s = 0; s < n - 1; ++s) {
+    const int out_b = (node - s + n) % n;
+    const int in_b = (node - s - 1 + 2 * n) % n;
+    const int out_chunks = chunks[static_cast<std::size_t>(out_b)];
+    const int in_chunks = chunks[static_cast<std::size_t>(in_b)];
+    const std::string step = "s" + std::to_string(s);
+    cur_recv.assign(static_cast<std::size_t>(in_chunks), -1);
+    for (int c = 0; c < std::max(out_chunks, in_chunks); ++c) {
+      const int tag = s * stride + c;
+      if (c < out_chunks) {
+        const auto [coff, clen] =
+            coll::chunk_range(block_bytes(out_b), out_chunks, c);
+        const std::size_t off =
+            block_off[static_cast<std::size_t>(out_b)] + coff;
+        const int t_send = tasks.send(right, tag, off, clen, step, c);
+        if (s == 0) {
+          for (const int p : prod.covering(off, clen)) g.depend(t_send, p);
+        } else {
+          g.depend(t_send, prev_recv[static_cast<std::size_t>(c)]);
+        }
+      }
+      if (c < in_chunks) {
+        const auto [coff, clen] =
+            coll::chunk_range(block_bytes(in_b), in_chunks, c);
+        cur_recv[static_cast<std::size_t>(c)] = tasks.recv_publish(
+            left, tag, block_off[static_cast<std::size_t>(in_b)] + coff, clen,
+            step, c);
+      }
+    }
+    prev_recv.swap(cur_recv);
+  }
+}
+
+}  // namespace detail
 
 Phase2Algo resolve_phase2(const hw::ClusterSpec& spec, int nodes, int ppn,
                           std::size_t msg, Phase2Algo requested) {
@@ -597,17 +515,7 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
   }
   const Phase2Algo algo =
       resolve_phase2(cl.spec(), cl.nodes(), cl.ppn(), msg, opts.phase2);
-  if (opts.streaming && opts.overlap) {
-    co_await hier_graph(comm, my, send, recv, msg, in_place, opts, algo);
-  } else {
-    // The barriered baseline still flows through a GraphExecutor (as one
-    // wrapped task) so every dispatch path shares spans and retry counters.
-    co_await coll::run_as_graph(
-        comm.engine(), comm.sink(), comm.to_global(my), "hier-barrier",
-        [&comm, my, send, recv, msg, in_place, opts, algo] {
-          return hier_barrier(comm, my, send, recv, msg, in_place, opts, algo);
-        });
-  }
+  co_await hier_graph(comm, my, send, recv, msg, in_place, opts, algo);
 }
 
 }  // namespace hmca::core

@@ -1,6 +1,7 @@
 // The hierarchical multi-HCA aware Allgather (paper Sec. 3.2).
 //
-// Three phases, with phases 2 and 3 overlapped through a shared-memory
+// Three phases, lowered to one chunk-granular task graph per rank
+// (coll/graph.hpp), with phases 2 and 3 overlapped through a shared-memory
 // region and per-chunk ready counters (Fig. 6):
 //   1. node-level aggregation: MHA-intra staged over a NodePlan (one
 //      stage for the paper's flat node, a socket stage first for the
@@ -11,9 +12,11 @@
 //      shared memory and publishes it; members copy published chunks out
 //      while the next inter-node transfer is already in flight.
 //
-// The same engine, configured differently, reproduces the single-leader
+// The same graph, configured differently, reproduces the single-leader
 // prior design of Mamidala et al. [19] (shm gather + RD, overlap) and the
-// overlap ablation (overlap = false: strictly sequential phases).
+// overlap ablation (overlap = false: one chunk per node block in phase 2
+// and a phase-3 fence, so no publish starts before the leader's exchange
+// has landed).
 #pragma once
 
 #include <cstddef>
@@ -49,7 +52,7 @@ enum class Phase2Algo {
 /// segment homed on their own group, so each inter-group byte (UPI on a
 /// socket stage) crosses the group boundary once. A single-stage plan is
 /// the paper's flat node: one MHA-intra over the node communicator,
-/// lowered to native chunk tasks in streaming mode.
+/// lowered to native chunk tasks.
 struct NodePlan {
   std::vector<std::vector<int>> stages;  ///< innermost -> outermost
 };
@@ -62,20 +65,15 @@ struct HierOptions {
   /// across the collective (core/hierarchy.hpp owns it in the coroutine
   /// frame of allgather_hierarchy).
   const NodePlan* plan = nullptr;
-  /// Overlap phase 3 with phase 2 (the paper's design). false gives the
-  /// strict phase separation of Kandalla et al. — the ablation baseline.
+  /// Overlap phase 3 with phase 2 (the paper's design): phase-2 chunks
+  /// stream as their phase-1 bytes land and each landed chunk is published
+  /// while later steps are in flight. false is the same graph with one
+  /// chunk per node block in phase 2 and a phase-3 fence (no publish
+  /// before the leader's last phase-2 recv) — the strict phase separation
+  /// of Kandalla et al., the ablation and pipeline-pair baseline.
   bool overlap = true;
   /// MHA-intra offload count for phase 1; -1 = Eq. 1 analytic.
   double offload = -1.0;
-  /// Execute as a chunk-granular task graph (coll::GraphExecutor): phase-2
-  /// sends start as soon as the phase-1 tasks producing their bytes land,
-  /// and members drain phase-3 chunks while later inter-node steps are in
-  /// flight. false falls back to the phase-sequential coroutine path
-  /// (with `overlap` controlling the hand-built phase-2/3 overlap) — the
-  /// "barrier" baseline of the perf campaign's pipeline pair. Ignored
-  /// (treated as false) when overlap is off: a strict-phase graph is just
-  /// the legacy path with extra bookkeeping.
-  bool streaming = true;
 };
 
 /// Node-chunk size (msg * PPN) at which the kAuto selector switches from

@@ -383,7 +383,6 @@ sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
   HierOptions o;
   o.plan = &plan;
   o.overlap = opts.overlap;
-  o.streaming = opts.streaming;
   o.offload = opts.offload;
   switch (levels.back().transport) {  // cluster level pins phase 2
     case LevelTransport::kRd:

@@ -153,7 +153,6 @@ class Hierarchy {
 struct HierarchyOptions {
   Phase2Algo phase2 = Phase2Algo::kAuto;
   bool overlap = true;
-  bool streaming = true;
   double offload = -1.0;
 };
 

@@ -4,11 +4,11 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "coll/graph.hpp"
+#include "core/hier_detail.hpp"
 #include "core/mha_intra.hpp"
 #include "model/cost.hpp"
 #include "shm/shm.hpp"
@@ -18,10 +18,7 @@ namespace hmca::core {
 
 namespace {
 
-std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
+using shm::op_key;
 
 void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
                 const hw::BufView& recv, const coll::VarLayout& layout,
@@ -40,33 +37,11 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-// Member-side drain of publication slot `i`; zero-length markers (empty
-// node blocks) are skipped, chunk geometry is read at release time.
-sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
-                                   int grank, std::size_t i,
-                                   hw::BufView recv) {
-  const auto c = region->chunk(i);
-  if (c.len > 0) {
-    co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
-  }
-}
-
 // Local seed copy for the l == 1 phase-1 task.
 sim::Task<void> seed_copy(hw::Cluster& cl, int grank, hw::BufView dst,
                           hw::BufView src) {
   co_await cl.cpu_copy_by(grank, static_cast<double>(src.len));
   hw::copy_payload(dst, src);
-}
-
-// Leader-side publish of one phase-2 chunk; empty blocks publish a
-// zero-length marker (no copy startup) to keep member slot indices aligned.
-sim::Task<void> publish_chunk(std::shared_ptr<shm::ShmRegion> region,
-                              int grank, hw::BufView src, std::size_t off) {
-  if (src.len == 0) {
-    region->publish(off, 0);
-    co_return;
-  }
-  co_await region->copy_in_publish(grank, src, off);
 }
 
 // The byte-budget direct-spread walk (see allgatherv_mha_intra): the
@@ -162,26 +137,27 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
   const int n = cl.nodes();
   const int node = comm.node_of(my);
   const int local = comm.node_local_rank(my);
-  const bool leader = (local == 0);
   const std::uint64_t seq = comm.next_op_seq(my);
   auto& eng = comm.engine();
   const int grank = comm.to_global(my);
 
-  // Node chunk geometry: node k's slice covers its ranks' blocks, which
+  // Node block geometry: node k's slice covers its ranks' blocks, which
   // are contiguous because ranks are node-major.
-  auto node_offset = [&](int k) { return layout.offset(k * l); };
-  auto node_bytes = [&](int k) {
-    const std::size_t end = (k + 1 < n) ? layout.offset((k + 1) * l)
-                                        : layout.total;
-    return end - node_offset(k);
-  };
+  std::vector<std::size_t> block_off(static_cast<std::size_t>(n) + 1);
+  for (int k = 0; k < n; ++k) {
+    block_off[static_cast<std::size_t>(k)] = layout.offset(k * l);
+  }
+  block_off[static_cast<std::size_t>(n)] = layout.total;
+  const std::size_t node_off = block_off[static_cast<std::size_t>(node)];
+  const std::size_t node_bytes =
+      block_off[static_cast<std::size_t>(node) + 1] - node_off;
 
   coll::GraphExecutor exec(eng, comm.sink(), grank);
   coll::TaskGraph g;
+  coll::RangeProducers prod;
 
   // ---- Phase 1: node-level aggregation (one macro task: the byte-budget
   // walk's order is data-driven) ----
-  int t_p1 = -1;
   if (l > 1) {
     std::vector<std::size_t> local_counts;
     local_counts.reserve(static_cast<std::size_t>(l));
@@ -189,22 +165,23 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
       local_counts.push_back(layout.count(node * l + r));
     }
     auto local_layout = coll::VarLayout::from_counts(std::move(local_counts));
-    const hw::BufView node_slice =
-        recv.sub(node_offset(node), node_bytes(node));
-    t_p1 = g.add(
+    const hw::BufView node_slice = recv.sub(node_off, node_bytes);
+    const int t_p1 = g.add(
         coll::TaskKind::kWrapped, coll::Lane::kNone,
         [&comm, my, send, node_slice, node, local,
          local_layout = std::move(local_layout), in_place] {
           return intra_body(comm.world().node_comm(node), local, send,
                             node_slice, local_layout, in_place);
         },
-        coll::TaskOpts{"intra-v", "phase1", -1, node_bytes(node), -1, -1});
+        coll::TaskOpts{"intra-v", "phase1", -1, node_bytes, -1, -1});
+    prod.add(node_off, node_bytes, t_p1);
   } else if (!in_place && layout.count(my) > 0) {
     const hw::BufView dst = recv.sub(layout.offset(my), layout.count(my));
-    t_p1 = g.add(
+    const int t_p1 = g.add(
         coll::TaskKind::kCopy, coll::Lane::kCpu,
         [&cl, grank, dst, send] { return seed_copy(cl, grank, dst, send); },
         coll::TaskOpts{"seed", "phase1", -1, layout.count(my), -1, -1});
+    prod.add(node_off, node_bytes, t_p1);
   }
 
   if (n == 1) {
@@ -221,111 +198,8 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
                                                   cl.global_rank(node, 0));
         });
   }
-
-  // Per-block chunk counts must agree between the sender and receiver of
-  // every hop and with the members' slot count, so they derive from the
-  // shared layout alone. Long rings fall back to one chunk per block with
-  // the legacy tag = step scheme.
-  int stride = coll::kChunkTagStride;
-  bool chunked = true;
-  if (static_cast<long long>(n - 2) * stride + coll::kMaxChunks - 1 >
-      mpi::kMaxUserTag) {
-    stride = 1;
-    chunked = false;
-  }
-  auto block_chunks = [&](int b) {
-    return chunked ? coll::chunks_for(node_bytes(b)) : 1;
-  };
-
-  if (leader) {
-    auto& lcomm = comm.world().leader_comm();
-    const int right = (node + 1) % n;
-    const int left = (node - 1 + n) % n;
-    const int right_g = lcomm.to_global(right);
-    const int left_g = lcomm.to_global(left);
-    // Last recv stubs per chunk of each block (for forwarding deps).
-    std::vector<std::vector<int>> stubs(static_cast<std::size_t>(n));
-    for (int s = 0; s < n - 1; ++s) {
-      const int out_b = (node - s + n) % n;
-      const int in_b = (node - s - 1 + 2 * n) % n;
-
-      const int out_chunks = block_chunks(out_b);
-      for (int c = 0; c < out_chunks; ++c) {
-        const auto [coff, clen] =
-            coll::chunk_range(node_bytes(out_b), out_chunks, c);
-        const int tag = s * stride + c;
-        const std::size_t out_off = node_offset(out_b) + coff;
-        const int t_send = g.add(
-            coll::TaskKind::kSend, coll::Lane::kNic,
-            [&lcomm, node, right, tag, recv, out_off, clen] {
-              return lcomm.send(node, right, tag, recv.sub(out_off, clen));
-            },
-            coll::TaskOpts{"p2 send s" + std::to_string(s), "phase2", c, clen,
-                           -1, right_g});
-        if (s == 0) {
-          if (t_p1 >= 0) g.depend(t_send, t_p1);
-        } else {
-          g.depend(t_send, stubs[static_cast<std::size_t>(out_b)]
-                               [static_cast<std::size_t>(c)]);
-        }
-      }
-
-      const int in_chunks = block_chunks(in_b);
-      auto& in_stubs = stubs[static_cast<std::size_t>(in_b)];
-      in_stubs.assign(static_cast<std::size_t>(in_chunks), -1);
-      for (int c = 0; c < in_chunks; ++c) {
-        const auto [coff, clen] =
-            coll::chunk_range(node_bytes(in_b), in_chunks, c);
-        const int tag = s * stride + c;
-        const std::size_t in_off = node_offset(in_b) + coff;
-        const int t_recv = g.add(
-            coll::TaskKind::kRecv, coll::Lane::kNone,
-            [] { return coll::noop_task(); },
-            coll::TaskOpts{"p2 recv s" + std::to_string(s), "phase2", c, clen,
-                           -1, left_g});
-        g.depend_external(t_recv);
-        lcomm.irecv(node, left, tag, recv.sub(in_off, clen))
-            .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-        in_stubs[static_cast<std::size_t>(c)] = t_recv;
-
-        if (region != nullptr) {
-          const int t_pub = g.add(
-              coll::TaskKind::kShmIn, coll::Lane::kShm,
-              [region, grank, recv, in_off, clen] {
-                return publish_chunk(region, grank, recv.sub(in_off, clen),
-                                     in_off);
-              },
-              coll::TaskOpts{"p3 pub s" + std::to_string(s), "phase2", c,
-                             clen, -1, -1});
-          g.depend(t_pub, t_recv);
-        }
-      }
-    }
-  } else {
-    // One drain task per publication slot: every block except ours, one
-    // slot per chunk, released by the region's publish callback.
-    int publishes = 0;
-    for (int b = 0; b < n; ++b) {
-      if (b != node) publishes += block_chunks(b);
-    }
-    std::vector<int> outs;
-    outs.reserve(static_cast<std::size_t>(publishes));
-    for (int i = 0; i < publishes; ++i) {
-      const int t = g.add(
-          coll::TaskKind::kShmOut, coll::Lane::kShm,
-          [region, grank, i, recv] {
-            return copy_out_published(region, grank,
-                                      static_cast<std::size_t>(i), recv);
-          },
-          coll::TaskOpts{"p3 out", "phase3", i, 0, -1, -1});
-      g.depend_external(t);
-      outs.push_back(t);
-    }
-    region->add_publish_listener([&exec, outs](std::size_t idx) {
-      if (idx < outs.size()) exec.satisfy(outs[idx]);
-    });
-  }
-
+  detail::build_leader_ring(g, exec, comm, my, recv, block_off, prod,
+                            /*fence=*/false, region);
   co_await exec.run(g);
 }
 

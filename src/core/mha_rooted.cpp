@@ -4,12 +4,11 @@
 #include <stdexcept>
 
 #include "coll/bcast.hpp"
-#include "core/hier_detail.hpp"
 #include "shm/shm.hpp"
 
 namespace hmca::core {
 
-using detail::op_key;
+using shm::op_key;
 
 sim::Task<void> mha_reduce(mpi::Comm& comm, int my, int root, hw::BufView data,
                            std::size_t count, mpi::Dtype dtype,

@@ -137,12 +137,11 @@ void register_core_impl(coll::Registry& reg) {
           bool ip) {
          HierOptions o;
          o.overlap = false;
-         o.streaming = false;
          return allgather_hierarchical(c, my, s, rv, m, ip, o);
        },
        world_multi_node,
        {},
-       coll::GraphMode::kWrapped});
+       coll::GraphMode::kNative});
   reg.add_allgather(
       {"single_leader",
        "Mamidala prior design: shm gather, RD exchange, overlapped",

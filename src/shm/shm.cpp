@@ -32,4 +32,13 @@ sim::Task<void> ShmRegion::copy_out(int rank, std::size_t i, hw::BufView dst) {
   span.close(eng.now());
 }
 
+sim::Task<void> copy_out_published(std::shared_ptr<ShmRegion> region,
+                                   int grank, std::size_t i,
+                                   hw::BufView recv) {
+  const auto c = region->chunk(i);
+  if (c.len > 0) {
+    co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
+  }
+}
+
 }  // namespace hmca::shm

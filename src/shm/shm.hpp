@@ -106,6 +106,21 @@ class ShmRegion {
   std::vector<std::function<void(std::size_t)>> listeners_;
 };
 
+/// Member-side drain of publication slot `i` into `recv`: the chunk's
+/// offset and length are only known at publish time, so they are read
+/// when the slot is released; zero-length markers copy nothing.
+sim::Task<void> copy_out_published(std::shared_ptr<ShmRegion> region,
+                                   int grank, std::size_t i, hw::BufView recv);
+
+/// Node-share key of one collective invocation: the per-rank op sequence
+/// number disambiguates invocations, the comm context id disambiguates
+/// communicators, and the 4-bit salt disambiguates the shared objects of
+/// one invocation.
+inline std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
+  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
+         static_cast<std::uint64_t>(salt);
+}
+
 /// Rendezvous registry for per-operation node-shared objects.
 class NodeShare {
  public:
@@ -127,8 +142,8 @@ class NodeShare {
     // A key collision between two operations hands one side an object of
     // the wrong type; the static cast below would silently reinterpret it.
     // Fail loudly instead — every caller derives keys from the shared
-    // (seq << 20) | (ctx << 4) | salt convention precisely to keep this
-    // branch dead.
+    // (seq << 20) | (ctx << 4) | salt convention (op_key) precisely to
+    // keep this branch dead.
     if (*it->second.type != typeid(T)) {
       throw sim::SimError(
           "NodeShare::acquire: key collision — object registered as " +

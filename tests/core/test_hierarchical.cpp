@@ -109,7 +109,6 @@ TEST(Hier, ShimReplacementsGatherCorrectly) {
       2, 2, 8192);
   HierOptions barrier;
   barrier.overlap = false;
-  barrier.streaming = false;
   check_allgather(fn_hier(barrier), 2, 2, 4096);
   HierOptions single_leader;
   single_leader.phase1 = Phase1Mode::kShmGather;

@@ -372,8 +372,9 @@ TEST(HierarchyApi, Depth2IsMetricIdenticalToMhaInter) {
 // a socket-leader pull through shared memory); the staged NodePlan path
 // must reproduce it bit for bit across even, uneven, 4-socket,
 // singleton-socket and single-node shapes, four sizes, and the streaming,
-// barrier, overlap-off and offload = 0 variants.
-enum class Variant { kStreaming, kBarrier, kOverlapOff, kOffload0 };
+// overlap-off and offload = 0 variants.
+
+enum class Variant { kStreaming, kOverlapOff, kOffload0 };
 
 struct Pin {
   const char* shape;
@@ -404,121 +405,92 @@ TEST(HierarchyApi, Depth3MatchesPinnedNumaTimes) {
   using enum Variant;
   const std::vector<Pin> pins = {
       {"even_2x8", 100, kStreaming, 5.5367878787878791e-06},
-      {"even_2x8", 100, kBarrier, 5.5367878787878791e-06},
       {"even_2x8", 100, kOverlapOff, 5.5367878787878791e-06},
       {"even_2x8", 100, kOffload0, 5.4378989898989905e-06},
       {"even_2x8", 4096, kStreaming, 2.5472393535353531e-05},
-      {"even_2x8", 4096, kBarrier, 2.5472393535353531e-05},
       {"even_2x8", 4096, kOverlapOff, 2.5472393535353531e-05},
       {"even_2x8", 4096, kOffload0, 2.6277993535353533e-05},
       {"even_2x8", 65536, kStreaming, 0.00027585899717171719},
-      {"even_2x8", 65536, kBarrier, 0.00032212932929292929},
       {"even_2x8", 65536, kOverlapOff, 0.00032212932929292929},
       {"even_2x8", 65536, kOffload0, 0.00029512111111111111},
       {"even_2x8", 1048576, kStreaming, 0.0044539803352469749},
-      {"even_2x8", 1048576, kBarrier, 0.0051955904976712175},
       {"even_2x8", 1048576, kOverlapOff, 0.0051955904976712175},
       {"even_2x8", 1048576, kOffload0, 0.0046647211111111109},
       {"even_4x4", 100, kStreaming, 5.9570270707070718e-06},
-      {"even_4x4", 100, kBarrier, 5.9570270707070718e-06},
       {"even_4x4", 100, kOverlapOff, 6.2603604040404053e-06},
       {"even_4x4", 100, kOffload0, 4.8793737373737382e-06},
       {"even_4x4", 4096, kStreaming, 2.1061637979797975e-05},
-      {"even_4x4", 4096, kBarrier, 2.1061637979797975e-05},
       {"even_4x4", 4096, kOverlapOff, 2.3496171313131307e-05},
       {"even_4x4", 4096, kOffload0, 2.0843344646464644e-05},
       {"even_4x4", 65536, kStreaming, 0.0001633210270707071},
-      {"even_4x4", 65536, kBarrier, 0.00018241114828282829},
       {"even_4x4", 65536, kOverlapOff, 0.00022895418828282828},
       {"even_4x4", 65536, kOffload0, 0.00016706009373737378},
       {"even_4x4", 1048576, kStreaming, 0.0024716807505028291},
-      {"even_4x4", 1048576, kBarrier, 0.0028483731725252523},
       {"even_4x4", 1048576, kOverlapOff, 0.0035240618125252517},
       {"even_4x4", 1048576, kOffload0, 0.0025349610171694955},
       {"nonp2_3x6", 100, kStreaming, 6.765369696969695e-06},
-      {"nonp2_3x6", 100, kBarrier, 6.765369696969695e-06},
       {"nonp2_3x6", 100, kOverlapOff, 7.1353696969696948e-06},
       {"nonp2_3x6", 100, kOffload0, 5.8189696969696967e-06},
       {"nonp2_3x6", 4096, kStreaming, 2.2830576639118457e-05},
-      {"nonp2_3x6", 4096, kBarrier, 2.2830576639118457e-05},
       {"nonp2_3x6", 4096, kOverlapOff, 2.6772675151515146e-05},
       {"nonp2_3x6", 4096, kOffload0, 2.3277576639118458e-05},
       {"nonp2_3x6", 65536, kStreaming, 0.00024549363151515164},
-      {"nonp2_3x6", 65536, kBarrier, 0.00027974272242424242},
       {"nonp2_3x6", 65536, kOverlapOff, 0.00031350000242424242},
       {"nonp2_3x6", 65536, kOffload0, 0.00025650843151515159},
       {"nonp2_3x6", 1048576, kStreaming, 0.0038416233913109031},
-      {"nonp2_3x6", 1048576, kBarrier, 0.0044008003587878786},
       {"nonp2_3x6", 1048576, kOverlapOff, 0.0049064168387878779},
       {"nonp2_3x6", 1048576, kOffload0, 0.0040164433913109027},
       {"uneven_2x7", 100, kStreaming, 5.3190060606060603e-06},
-      {"uneven_2x7", 100, kBarrier, 5.3190060606060603e-06},
       {"uneven_2x7", 100, kOverlapOff, 5.3190060606060603e-06},
       {"uneven_2x7", 100, kOffload0, 5.3192727272727276e-06},
       {"uneven_2x7", 4096, kStreaming, 2.1313505454545451e-05},
-      {"uneven_2x7", 4096, kBarrier, 2.1313505454545451e-05},
       {"uneven_2x7", 4096, kOverlapOff, 2.1313505454545451e-05},
       {"uneven_2x7", 4096, kOffload0, 2.2119105454545452e-05},
       {"uneven_2x7", 65536, kStreaming, 0.00023610124363636364},
-      {"uneven_2x7", 65536, kBarrier, 0.00024521496484848485},
       {"uneven_2x7", 65536, kOverlapOff, 0.00024521496484848485},
       {"uneven_2x7", 65536, kOffload0, 0.00025882444363636365},
       {"uneven_2x7", 1048576, kStreaming, 0.0036844004398650459},
-      {"uneven_2x7", 1048576, kBarrier, 0.003851163086060606},
       {"uneven_2x7", 1048576, kOverlapOff, 0.003851163086060606},
       {"uneven_2x7", 1048576, kOffload0, 0.0040643161731983785},
       {"sockets4_2x8", 100, kStreaming, 6.9102577777777789e-06},
-      {"sockets4_2x8", 100, kBarrier, 6.9102577777777789e-06},
       {"sockets4_2x8", 100, kOverlapOff, 6.9102577777777789e-06},
       {"sockets4_2x8", 100, kOffload0, 4.2591111111111119e-06},
       {"sockets4_2x8", 4096, kStreaming, 2.9326871111111108e-05},
-      {"sockets4_2x8", 4096, kBarrier, 2.9326871111111108e-05},
       {"sockets4_2x8", 4096, kOverlapOff, 2.9326871111111108e-05},
       {"sockets4_2x8", 4096, kOffload0, 2.855268444444444e-05},
       {"sockets4_2x8", 65536, kStreaming, 0.00030968391873015873},
-      {"sockets4_2x8", 65536, kBarrier, 0.00038009513777777779},
       {"sockets4_2x8", 65536, kOverlapOff, 0.00038009513777777779},
       {"sockets4_2x8", 65536, kOffload0, 0.00031968173206349207},
       {"sockets4_2x8", 1048576, kStreaming, 0.0049581965533311151},
-      {"sockets4_2x8", 1048576, kBarrier, 0.0060334958844444446},
       {"sockets4_2x8", 1048576, kOverlapOff, 0.0060334958844444446},
       {"sockets4_2x8", 1048576, kOffload0, 0.0050994378866644494},
       {"singleton_2x2", 100, kStreaming, 2.2067474747474748e-06},
-      {"singleton_2x2", 100, kBarrier, 2.2067474747474748e-06},
       {"singleton_2x2", 100, kOverlapOff, 2.2067474747474748e-06},
       {"singleton_2x2", 100, kOffload0, 2.2067474747474748e-06},
       {"singleton_2x2", 4096, kStreaming, 6.4723765656565662e-06},
-      {"singleton_2x2", 4096, kBarrier, 6.4723765656565662e-06},
       {"singleton_2x2", 4096, kOverlapOff, 6.4723765656565662e-06},
       {"singleton_2x2", 4096, kOffload0, 6.4723765656565662e-06},
       {"singleton_2x2", 65536, kStreaming, 4.4098810505050509e-05},
-      {"singleton_2x2", 65536, kBarrier, 5.0606628686868681e-05},
       {"singleton_2x2", 65536, kOverlapOff, 5.0606628686868681e-05},
       {"singleton_2x2", 65536, kOffload0, 4.4098810505050509e-05},
       {"singleton_2x2", 1048576, kStreaming, 0.00055849818242202285},
-      {"singleton_2x2", 1048576, kBarrier, 0.000763956058989899},
       {"singleton_2x2", 1048576, kOverlapOff, 0.000763956058989899},
       {"singleton_2x2", 1048576, kOffload0, 0.00055849818242202285},
       {"node1_1x8", 100, kStreaming, 3.9110133333333332e-06},
-      {"node1_1x8", 100, kBarrier, 3.9110133333333332e-06},
       {"node1_1x8", 100, kOverlapOff, 3.9110133333333332e-06},
       {"node1_1x8", 100, kOffload0, 3.4311111111111115e-06},
       {"node1_1x8", 4096, kStreaming, 1.186071111111111e-05},
-      {"node1_1x8", 4096, kBarrier, 1.186071111111111e-05},
       {"node1_1x8", 4096, kOverlapOff, 1.186071111111111e-05},
       {"node1_1x8", 4096, kOffload0, 1.2666311111111112e-05},
       {"node1_1x8", 65536, kStreaming, 0.00013539886383838386},
-      {"node1_1x8", 65536, kBarrier, 0.00013539886383838386},
       {"node1_1x8", 65536, kOverlapOff, 0.00013539886383838386},
       {"node1_1x8", 65536, kOffload0, 0.00015466097777777781},
       {"node1_1x8", 1048576, kStreaming, 0.0022158348685803087},
-      {"node1_1x8", 1048576, kBarrier, 0.0022158348685803087},
       {"node1_1x8", 1048576, kOverlapOff, 0.0022158348685803087},
       {"node1_1x8", 1048576, kOffload0, 0.0024265756444444447},
   };
   for (const Pin& pin : pins) {
     HierarchyOptions o;
-    o.streaming = pin.variant != kBarrier;
     o.overlap = pin.variant != kOverlapOff;
     if (pin.variant == kOffload0) o.offload = 0.0;
     const auto spec = pin_shape(pin.shape);
@@ -691,10 +663,27 @@ TEST(HierDetail, GroupOfFindsEnclosingSpan) {
   EXPECT_EQ(detail::group_of(firsts, 100), 2);
 }
 
+TEST(HierDetail, RingChunkTagsFit) {
+  // The longest chunked ring: its last step's last chunk tag is the
+  // largest (step, chunk) tag the user tag space holds.
+  EXPECT_TRUE(detail::ring_chunk_tags_fit(2049));
+  EXPECT_LE(2047 * coll::kChunkTagStride + coll::kMaxChunks - 1,
+            mpi::kMaxUserTag);
+  // One node more and the leader Ring falls back to tag = step, which
+  // fits far beyond that (Scale.RingBeyondChunkTagSpaceFallsBackToWholeBlocks
+  // runs the 2050-node fallback end to end).
+  EXPECT_FALSE(detail::ring_chunk_tags_fit(2050));
+  EXPECT_TRUE(detail::ring_chunk_tags_fit(2));
+}
+
 TEST(HierDetail, OpKeysSeparateSaltAndContext) {
-  EXPECT_NE(detail::op_key(1, 5, 1), detail::op_key(1, 5, 2));
-  EXPECT_NE(detail::op_key(1, 5, 1), detail::op_key(2, 5, 1));
-  EXPECT_NE(detail::op_key(1, 5, 1), detail::op_key(1, 6, 1));
+  EXPECT_NE(shm::op_key(1, 5, 1), shm::op_key(1, 5, 2));
+  EXPECT_NE(shm::op_key(1, 5, 1), shm::op_key(2, 5, 1));
+  EXPECT_NE(shm::op_key(1, 5, 1), shm::op_key(1, 6, 1));
+  // The (seq << 20) | (ctx << 4) | salt layout every shared object's key
+  // is derived from.
+  EXPECT_EQ(shm::op_key(3, 5, 2), (5u << 20) | (3u << 4) | 2u);
+  EXPECT_EQ(shm::op_key(3, 5), (5u << 20) | (3u << 4));
 }
 
 // ---- The point of depth 3: multi-socket wins, telemetry-confirmed ----

@@ -5,7 +5,12 @@
 // `ctest -L dataflow` runs this suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -36,7 +41,6 @@ coll::AllgatherFn fn_barrier() {
             bool ip) {
     HierOptions o;
     o.overlap = false;
-    o.streaming = false;
     return allgather_hierarchical(c, r, s, rv, m, ip, o);
   };
 }
@@ -115,6 +119,64 @@ TEST(Pipeline, StreamingNeverLosesAcrossShapes) {
   }
 }
 
+// ---- Barrier mode: the phase-3 fence ----
+
+// Whether every leader's first phase-3 publish starts no earlier than its
+// last phase-2 recv ends. Counts the leaders that published into `leaders`.
+bool publishes_fenced(const std::vector<trace::Span>& spans, int& leaders) {
+  struct Times {
+    double last_recv = -1.0;
+    double first_pub = std::numeric_limits<double>::infinity();
+  };
+  std::map<int, Times> by_rank;
+  for (const auto& s : spans) {
+    if (s.kind != trace::Kind::kTask) continue;
+    if (s.label.find(":p2 recv ") != std::string::npos) {
+      auto& t = by_rank[s.rank];
+      t.last_recv = std::max(t.last_recv, s.t1);
+    } else if (s.label.find(":p3 pub ") != std::string::npos) {
+      auto& t = by_rank[s.rank];
+      t.first_pub = std::min(t.first_pub, s.t0);
+    }
+  }
+  leaders = 0;
+  bool fenced = true;
+  for (const auto& [rank, t] : by_rank) {
+    if (std::isinf(t.first_pub)) continue;
+    ++leaders;
+    fenced = fenced && t.first_pub >= t.last_recv;
+  }
+  return fenced;
+}
+
+TEST(Pipeline, BarrierModeFencesPublishesBehindTheLastRecv) {
+  // 4 nodes x 4 ppn at 64 KiB: 256 KiB node blocks split into four chunks
+  // when overlapped, so the overlapped graph publishes while later recvs
+  // are still in flight — the control that shows the check can fail.
+  for (const Phase2Algo algo : {Phase2Algo::kRing, Phase2Algo::kRD}) {
+    const auto run = [algo](bool overlap) {
+      HierOptions o;
+      o.phase2 = algo;
+      o.overlap = overlap;
+      trace::Tracer tracer;
+      osu::measure_allgather(
+          hw::ClusterSpec::thor(4, 4),
+          [o](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+              std::size_t m, bool ip) {
+            return allgather_hierarchical(c, r, s, rv, m, ip, o);
+          },
+          64 * 1024, &tracer);
+      return tracer.spans();
+    };
+    const char* name = algo == Phase2Algo::kRing ? "ring" : "rd";
+    int leaders = 0;
+    EXPECT_TRUE(publishes_fenced(run(false), leaders)) << name;
+    EXPECT_EQ(leaders, 4) << name;
+    EXPECT_FALSE(publishes_fenced(run(true), leaders)) << name;
+    EXPECT_EQ(leaders, 4) << name;
+  }
+}
+
 // ---- Registry metadata: everything executes via the GraphExecutor ----
 
 TEST(Pipeline, EveryAllgatherRegistersAGraphMode) {
@@ -129,7 +191,7 @@ TEST(Pipeline, EveryAllgatherRegistersAGraphMode) {
   // The paper's headline designs stream natively.
   EXPECT_EQ(reg.get_allgather("mha_inter").graph, coll::GraphMode::kNative);
   EXPECT_EQ(reg.get_allgather("mha_inter_barrier").graph,
-            coll::GraphMode::kWrapped);
+            coll::GraphMode::kNative);
   EXPECT_EQ(reg.get_allgather("ring").graph, coll::GraphMode::kNative);
 }
 
