@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "coll/graph.hpp"
+#include "coll/phase_span.hpp"
 #include "obs/names.hpp"
 #include "shm/shm.hpp"
 
@@ -44,14 +45,155 @@ int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
       [&comm, my, send, recv, msg, in_place] {
         return seed_own_block(comm, my, send, recv, msg, in_place);
       },
-      TaskOpts{"seed", obs::names::kPhaseExchange, -1, msg, -1, -1});
+      TaskOpts{"seed", obs::names::kPhaseExchange, -1, msg, -1});
 }
 
-// Bruck's store-and-forward exchange: kept as one coroutine (every step
-// forwards the full accumulated prefix, so there is no chunk-level
-// parallelism to expose) and run as a single wrapped graph task.
-sim::Task<void> bruck_body(mpi::Comm& comm, int my, hw::BufView send,
-                           hw::BufView recv, std::size_t msg, bool in_place) {
+}  // namespace
+
+sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView recv, std::size_t msg,
+                               bool in_place) {
+  if (in_place || msg == 0) co_return;
+  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
+                                      static_cast<double>(msg));
+  hw::copy_payload(recv.sub(static_cast<std::size_t>(my) * msg, msg), send);
+}
+
+sim::Task<void> allgather_ring(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView recv, std::size_t msg,
+                               bool in_place) {
+  check_args(comm, my, send, recv, msg, in_place);
+  const int n = comm.size();
+  if (n == 1) {
+    co_await seed_own_block(comm, my, send, recv, msg, in_place);
+    co_return;
+  }
+
+  const int right = (my + 1) % n;
+  const int left = (my - 1 + n) % n;
+  const int right_g = comm.to_global(right);
+  const int left_g = comm.to_global(left);
+  // Chunked (step, chunk) tags; rings too long for the strided encoding
+  // fall back to whole-block steps with the legacy tag = step scheme.
+  int chunks = chunks_for(msg);
+  int stride = kChunkTagStride;
+  if ((n - 2) * stride + chunks - 1 > mpi::kMaxUserTag) {
+    chunks = 1;
+    stride = 1;
+  }
+
+  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
+  TaskGraph g;
+  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
+
+  std::vector<int> prev_recv(static_cast<std::size_t>(chunks), -1);
+  for (int s = 0; s < n - 1; ++s) {
+    const int out_b = (my - s + n) % n;
+    const int in_b = (my - s - 1 + 2 * n) % n;
+    for (int c = 0; c < chunks; ++c) {
+      const auto [coff, clen] = chunk_range(msg, chunks, c);
+      const int tag = s * stride + c;
+      const std::size_t out_off = static_cast<std::size_t>(out_b) * msg + coff;
+      const std::size_t in_off = static_cast<std::size_t>(in_b) * msg + coff;
+
+      const int t_send = g.add(
+          TaskKind::kSend, Lane::kNone,
+          [&comm, my, right, tag, recv, out_off, clen] {
+            return comm.send(my, right, tag, recv.sub(out_off, clen));
+          },
+          TaskOpts{"send s" + std::to_string(s), obs::names::kPhaseExchange, c,
+                   clen, right_g});
+      if (s == 0) {
+        if (seed >= 0) g.depend(t_send, seed);
+      } else {
+        g.depend(t_send, prev_recv[static_cast<std::size_t>(c)]);
+      }
+
+      const int t_recv = g.add(
+          TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
+          TaskOpts{"recv s" + std::to_string(s), obs::names::kPhaseExchange, c,
+                   clen, left_g});
+      g.depend_external(t_recv);
+      comm.irecv(my, left, tag, recv.sub(in_off, clen))
+          .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
+      prev_recv[static_cast<std::size_t>(c)] = t_recv;
+    }
+  }
+  co_await exec.run(g);
+}
+
+sim::Task<void> allgather_rd(mpi::Comm& comm, int my, hw::BufView send,
+                             hw::BufView recv, std::size_t msg,
+                             bool in_place) {
+  check_args(comm, my, send, recv, msg, in_place);
+  const int n = comm.size();
+  if (!is_power_of_two(n)) {
+    throw std::invalid_argument(
+        "allgather_rd: communicator size must be a power of two "
+        "(use allgather_rd_or_bruck)");
+  }
+  if (n == 1) {
+    co_await seed_own_block(comm, my, send, recv, msg, in_place);
+    co_return;
+  }
+
+  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
+  TaskGraph g;
+  RangeProducers prod;
+  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
+  if (seed >= 0) prod.add(static_cast<std::size_t>(my) * msg, msg, seed);
+
+  // Step k: exchange the owned aligned group of 2^k blocks with the partner
+  // at distance 2^k, chunked; each send depends on exactly the tasks that
+  // produced its bytes (seed or earlier recvs), so later steps stream as
+  // their inputs land. log2(N) <= 31 steps keeps tags in range.
+  for (int k = 0; (1 << k) < n; ++k) {
+    const int dist = 1 << k;
+    const int partner = my ^ dist;
+    const int partner_g = comm.to_global(partner);
+    const std::size_t own_base =
+        static_cast<std::size_t>(my & ~(dist - 1)) * msg;
+    const std::size_t partner_base =
+        static_cast<std::size_t>(partner & ~(dist - 1)) * msg;
+    const std::size_t len = static_cast<std::size_t>(dist) * msg;
+    const int chunks = chunks_for(len);
+    for (int c = 0; c < chunks; ++c) {
+      const auto [coff, clen] = chunk_range(len, chunks, c);
+      const int tag = k * kChunkTagStride + c;
+
+      const int t_send = g.add(
+          TaskKind::kSend, Lane::kNone,
+          [&comm, my, partner, tag, recv, own_base, coff, clen] {
+            return comm.send(my, partner, tag,
+                             recv.sub(own_base + coff, clen));
+          },
+          TaskOpts{"send k" + std::to_string(k), obs::names::kPhaseExchange, c,
+                   clen, partner_g});
+      for (const int p : prod.covering(own_base + coff, clen)) {
+        g.depend(t_send, p);
+      }
+
+      const int t_recv = g.add(
+          TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
+          TaskOpts{"recv k" + std::to_string(k), obs::names::kPhaseExchange, c,
+                   clen, partner_g});
+      g.depend_external(t_recv);
+      comm.irecv(my, partner, tag, recv.sub(partner_base + coff, clen))
+          .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
+      prod.add(partner_base + coff, clen, t_recv);
+    }
+  }
+  co_await exec.run(g);
+}
+
+// Bruck's store-and-forward exchange: a plain coroutine, since every step
+// forwards the full accumulated prefix and there is no chunk-level
+// parallelism to expose.
+sim::Task<void> allgather_bruck(mpi::Comm& comm, int my, hw::BufView send,
+                                hw::BufView recv, std::size_t msg,
+                                bool in_place) {
+  check_args(comm, my, send, recv, msg, in_place);
+  PhaseSpan phase(comm, my);
   const int n = comm.size();
   auto& cl = comm.cluster();
 
@@ -84,14 +226,81 @@ sim::Task<void> bruck_body(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
-// Kandalla-style multi-leader body (see allgather_multi_leader). Strict
-// phase ordering is inherent to the design (the leader ring needs whole
-// group blocks), so the body stays one coroutine and runs wrapped.
-sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
-                                  hw::BufView recv, std::size_t msg,
-                                  bool in_place, int groups) {
+sim::Task<void> allgather_direct(mpi::Comm& comm, int my, hw::BufView send,
+                                 hw::BufView recv, std::size_t msg,
+                                 bool in_place) {
+  check_args(comm, my, send, recv, msg, in_place);
+  const int n = comm.size();
+  if (n == 1) {
+    co_await seed_own_block(comm, my, send, recv, msg, in_place);
+    co_return;
+  }
+
+  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
+  TaskGraph g;
+  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
+  const hw::BufView own = recv.sub(static_cast<std::size_t>(my) * msg, msg);
+
+  // All receives posted up front (MPI_Irecv before MPI_Isend, as in the
+  // coroutine original); each completion releases its stub so the drain is
+  // completion-ordered, not post-ordered.
+  for (int i = 1; i < n; ++i) {
+    const int src = (my - i + n) % n;
+    const int t_recv = g.add(
+        TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
+        TaskOpts{"recv", obs::names::kPhaseExchange, -1, msg,
+                 comm.to_global(src)});
+    g.depend_external(t_recv);
+    comm.irecv(my, src, i, recv.sub(static_cast<std::size_t>(src) * msg, msg))
+        .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
+  }
+  for (int i = 1; i < n; ++i) {
+    const int dst = (my + i) % n;
+    const int t_send = g.add(
+        TaskKind::kSend, Lane::kNone,
+        [&comm, my, dst, i, own] { return comm.send(my, dst, i, own); },
+        TaskOpts{"send", obs::names::kPhaseExchange, -1, msg,
+                 comm.to_global(dst)});
+    if (seed >= 0) g.depend(t_send, seed);
+  }
+  co_await exec.run(g);
+}
+
+sim::Task<void> allgather_rd_or_bruck(mpi::Comm& comm, int my,
+                                      hw::BufView send, hw::BufView recv,
+                                      std::size_t msg, bool in_place) {
+  if (is_power_of_two(comm.size())) {
+    co_await allgather_rd(comm, my, send, recv, msg, in_place);
+  } else {
+    co_await allgather_bruck(comm, my, send, recv, msg, in_place);
+  }
+}
+
+sim::Task<void> allgather_multi_leader(mpi::Comm& comm, int my,
+                                       hw::BufView send, hw::BufView recv,
+                                       std::size_t msg, bool in_place,
+                                       int groups) {
+  check_args(comm, my, send, recv, msg, in_place);
   auto& cl = comm.cluster();
   const int ppn = cl.ppn();
+
+  if (comm.size() != cl.world_size()) {
+    throw std::invalid_argument("allgather_multi_leader: world comm required");
+  }
+  if (groups < 1) {
+    throw std::invalid_argument(
+        "allgather_multi_leader: groups must be >= 1 (got " +
+        std::to_string(groups) + ")");
+  }
+  if (ppn % groups != 0) {
+    throw std::invalid_argument(
+        "allgather_multi_leader: ppn (" + std::to_string(ppn) +
+        ") must be divisible by groups (" + std::to_string(groups) +
+        "): leader groups would be unequal");
+  }
+  // Strict phase ordering is inherent to the design (the leader ring needs
+  // whole group blocks), so the body is one plain coroutine.
+  PhaseSpan phase(comm, my);
   const int gs = ppn / groups;          // group size
   const int node = comm.node_of(my);
   const int local = comm.node_local_rank(my);
@@ -159,238 +368,6 @@ sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
-}  // namespace
-
-sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
-                               hw::BufView recv, std::size_t msg,
-                               bool in_place) {
-  if (in_place || msg == 0) co_return;
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(msg));
-  hw::copy_payload(recv.sub(static_cast<std::size_t>(my) * msg, msg), send);
-}
-
-sim::Task<void> allgather_ring(mpi::Comm& comm, int my, hw::BufView send,
-                               hw::BufView recv, std::size_t msg,
-                               bool in_place) {
-  check_args(comm, my, send, recv, msg, in_place);
-  const int n = comm.size();
-  if (n == 1) {
-    co_await seed_own_block(comm, my, send, recv, msg, in_place);
-    co_return;
-  }
-
-  const int right = (my + 1) % n;
-  const int left = (my - 1 + n) % n;
-  const int right_g = comm.to_global(right);
-  const int left_g = comm.to_global(left);
-  // Chunked (step, chunk) tags; rings too long for the strided encoding
-  // fall back to whole-block steps with the legacy tag = step scheme.
-  int chunks = chunks_for(msg);
-  int stride = kChunkTagStride;
-  if ((n - 2) * stride + chunks - 1 > mpi::kMaxUserTag) {
-    chunks = 1;
-    stride = 1;
-  }
-
-  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
-  TaskGraph g;
-  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-
-  std::vector<int> prev_recv(static_cast<std::size_t>(chunks), -1);
-  for (int s = 0; s < n - 1; ++s) {
-    const int out_b = (my - s + n) % n;
-    const int in_b = (my - s - 1 + 2 * n) % n;
-    for (int c = 0; c < chunks; ++c) {
-      const auto [coff, clen] = chunk_range(msg, chunks, c);
-      const int tag = s * stride + c;
-      const std::size_t out_off = static_cast<std::size_t>(out_b) * msg + coff;
-      const std::size_t in_off = static_cast<std::size_t>(in_b) * msg + coff;
-
-      const int t_send = g.add(
-          TaskKind::kSend, Lane::kNic,
-          [&comm, my, right, tag, recv, out_off, clen] {
-            return comm.send(my, right, tag, recv.sub(out_off, clen));
-          },
-          TaskOpts{"send s" + std::to_string(s), obs::names::kPhaseExchange, c,
-                   clen, -1, right_g});
-      if (s == 0) {
-        if (seed >= 0) g.depend(t_send, seed);
-      } else {
-        g.depend(t_send, prev_recv[static_cast<std::size_t>(c)]);
-      }
-
-      const int t_recv = g.add(
-          TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-          TaskOpts{"recv s" + std::to_string(s), obs::names::kPhaseExchange, c,
-                   clen, -1, left_g});
-      g.depend_external(t_recv);
-      comm.irecv(my, left, tag, recv.sub(in_off, clen))
-          .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-      prev_recv[static_cast<std::size_t>(c)] = t_recv;
-    }
-  }
-  co_await exec.run(g);
-}
-
-sim::Task<void> allgather_rd(mpi::Comm& comm, int my, hw::BufView send,
-                             hw::BufView recv, std::size_t msg,
-                             bool in_place) {
-  check_args(comm, my, send, recv, msg, in_place);
-  const int n = comm.size();
-  if (!is_power_of_two(n)) {
-    throw std::invalid_argument(
-        "allgather_rd: communicator size must be a power of two "
-        "(use allgather_rd_or_bruck)");
-  }
-  if (n == 1) {
-    co_await seed_own_block(comm, my, send, recv, msg, in_place);
-    co_return;
-  }
-
-  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
-  TaskGraph g;
-  RangeProducers prod;
-  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-  if (seed >= 0) prod.add(static_cast<std::size_t>(my) * msg, msg, seed);
-
-  // Step k: exchange the owned aligned group of 2^k blocks with the partner
-  // at distance 2^k, chunked; each send depends on exactly the tasks that
-  // produced its bytes (seed or earlier recvs), so later steps stream as
-  // their inputs land. log2(N) <= 31 steps keeps tags in range.
-  for (int k = 0; (1 << k) < n; ++k) {
-    const int dist = 1 << k;
-    const int partner = my ^ dist;
-    const int partner_g = comm.to_global(partner);
-    const std::size_t own_base =
-        static_cast<std::size_t>(my & ~(dist - 1)) * msg;
-    const std::size_t partner_base =
-        static_cast<std::size_t>(partner & ~(dist - 1)) * msg;
-    const std::size_t len = static_cast<std::size_t>(dist) * msg;
-    const int chunks = chunks_for(len);
-    for (int c = 0; c < chunks; ++c) {
-      const auto [coff, clen] = chunk_range(len, chunks, c);
-      const int tag = k * kChunkTagStride + c;
-
-      const int t_send = g.add(
-          TaskKind::kSend, Lane::kNic,
-          [&comm, my, partner, tag, recv, own_base, coff, clen] {
-            return comm.send(my, partner, tag,
-                             recv.sub(own_base + coff, clen));
-          },
-          TaskOpts{"send k" + std::to_string(k), obs::names::kPhaseExchange, c,
-                   clen, -1, partner_g});
-      for (const int p : prod.covering(own_base + coff, clen)) {
-        g.depend(t_send, p);
-      }
-
-      const int t_recv = g.add(
-          TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-          TaskOpts{"recv k" + std::to_string(k), obs::names::kPhaseExchange, c,
-                   clen, -1, partner_g});
-      g.depend_external(t_recv);
-      comm.irecv(my, partner, tag, recv.sub(partner_base + coff, clen))
-          .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-      prod.add(partner_base + coff, clen, t_recv);
-    }
-  }
-  co_await exec.run(g);
-}
-
-sim::Task<void> allgather_bruck(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, std::size_t msg,
-                                bool in_place) {
-  check_args(comm, my, send, recv, msg, in_place);
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "bruck",
-                        [&comm, my, send, recv, msg, in_place] {
-                          return bruck_body(comm, my, send, recv, msg,
-                                            in_place);
-                        },
-                        obs::names::kPhaseExchange);
-}
-
-sim::Task<void> allgather_direct(mpi::Comm& comm, int my, hw::BufView send,
-                                 hw::BufView recv, std::size_t msg,
-                                 bool in_place) {
-  check_args(comm, my, send, recv, msg, in_place);
-  const int n = comm.size();
-  if (n == 1) {
-    co_await seed_own_block(comm, my, send, recv, msg, in_place);
-    co_return;
-  }
-
-  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
-  TaskGraph g;
-  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-  const hw::BufView own = recv.sub(static_cast<std::size_t>(my) * msg, msg);
-
-  // All receives posted up front (MPI_Irecv before MPI_Isend, as in the
-  // coroutine original); each completion releases its stub so the drain is
-  // completion-ordered, not post-ordered.
-  for (int i = 1; i < n; ++i) {
-    const int src = (my - i + n) % n;
-    const int t_recv = g.add(
-        TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-        TaskOpts{"recv", obs::names::kPhaseExchange, -1, msg, -1,
-                 comm.to_global(src)});
-    g.depend_external(t_recv);
-    comm.irecv(my, src, i, recv.sub(static_cast<std::size_t>(src) * msg, msg))
-        .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-  }
-  for (int i = 1; i < n; ++i) {
-    const int dst = (my + i) % n;
-    const int t_send = g.add(
-        TaskKind::kSend, Lane::kNic,
-        [&comm, my, dst, i, own] { return comm.send(my, dst, i, own); },
-        TaskOpts{"send", obs::names::kPhaseExchange, -1, msg, -1,
-                 comm.to_global(dst)});
-    if (seed >= 0) g.depend(t_send, seed);
-  }
-  co_await exec.run(g);
-}
-
-sim::Task<void> allgather_rd_or_bruck(mpi::Comm& comm, int my,
-                                      hw::BufView send, hw::BufView recv,
-                                      std::size_t msg, bool in_place) {
-  if (is_power_of_two(comm.size())) {
-    co_await allgather_rd(comm, my, send, recv, msg, in_place);
-  } else {
-    co_await allgather_bruck(comm, my, send, recv, msg, in_place);
-  }
-}
-
-sim::Task<void> allgather_multi_leader(mpi::Comm& comm, int my,
-                                       hw::BufView send, hw::BufView recv,
-                                       std::size_t msg, bool in_place,
-                                       int groups) {
-  check_args(comm, my, send, recv, msg, in_place);
-  auto& cl = comm.cluster();
-  const int ppn = cl.ppn();
-
-  if (comm.size() != cl.world_size()) {
-    throw std::invalid_argument("allgather_multi_leader: world comm required");
-  }
-  if (groups < 1) {
-    throw std::invalid_argument(
-        "allgather_multi_leader: groups must be >= 1 (got " +
-        std::to_string(groups) + ")");
-  }
-  if (ppn % groups != 0) {
-    throw std::invalid_argument(
-        "allgather_multi_leader: ppn (" + std::to_string(ppn) +
-        ") must be divisible by groups (" + std::to_string(groups) +
-        "): leader groups would be unequal");
-  }
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "multi_leader" + std::to_string(groups),
-                        [&comm, my, send, recv, msg, in_place, groups] {
-                          return multi_leader_body(comm, my, send, recv, msg,
-                                                   in_place, groups);
-                        },
-                        obs::names::kPhaseExchange);
-}
-
 sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
                                            hw::BufView send, hw::BufView recv,
                                            std::size_t msg, bool in_place) {
@@ -424,7 +401,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
         }
         return seed_own_block(comm, my, send, recv, msg, in_place);
       },
-      TaskOpts{"intra", "phase1", -1, chunk, -1, -1});
+      TaskOpts{"intra", "phase1", -1, chunk, -1});
 
   if (nodes == 1) {
     co_await exec.run(g);
@@ -443,7 +420,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
                                  /*in_place=*/true);
         },
         TaskOpts{"bruck-inter", "phase2", -1,
-                 static_cast<std::size_t>(nodes - 1) * chunk, -1, -1});
+                 static_cast<std::size_t>(nodes - 1) * chunk, -1});
     g.depend(t_p2, t_p1);
 
     // ---- Phase 3, leader side: publish each remote node block ----
@@ -463,7 +440,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
                                              off);
             },
             TaskOpts{"pub b" + std::to_string(other), "phase2", -1, chunk,
-                     -1, -1});
+                     -1});
         g.depend(t_pub, t_p2);
       }
     }
@@ -483,7 +460,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
             return shm::copy_out_published(region, grank,
                                       static_cast<std::size_t>(i), recv);
           },
-          TaskOpts{"out", "phase3", i, 0, -1, -1});
+          TaskOpts{"out", "phase3", i, 0, -1});
       g.depend_external(t);
       outs.push_back(t);
     }

@@ -4,6 +4,7 @@
 
 #include "coll/allgather.hpp"
 #include "coll/graph.hpp"
+#include "coll/phase_span.hpp"
 #include "obs/names.hpp"
 #include "mpi/comm.hpp"
 
@@ -51,11 +52,16 @@ sim::Task<void> seed_own(mpi::Comm& comm, int my, hw::BufView send,
   hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
 }
 
+}  // namespace
+
 // Variable-size ring forwarding: block lengths differ per step, so the
-// pipeline structure is the per-step sendrecv chain; run wrapped.
-sim::Task<void> ring_body(mpi::Comm& comm, int my, hw::BufView send,
-                          hw::BufView recv, const VarLayout& layout,
-                          bool in_place) {
+// pipeline structure is the per-step sendrecv chain, run as a plain
+// coroutine.
+sim::Task<void> allgatherv_ring(mpi::Comm& comm, int my, hw::BufView send,
+                                hw::BufView recv, const VarLayout& layout,
+                                bool in_place) {
+  check_args(comm, my, send, recv, layout, in_place);
+  PhaseSpan phase(comm, my);
   const int n = comm.size();
   co_await seed_own(comm, my, send, recv, layout, in_place);
   if (n == 1) co_return;
@@ -74,21 +80,6 @@ sim::Task<void> ring_body(mpi::Comm& comm, int my, hw::BufView send,
                                     layout.count(incoming)));
     cur = incoming;
   }
-}
-
-}  // namespace
-
-sim::Task<void> allgatherv_ring(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, const VarLayout& layout,
-                                bool in_place) {
-  check_args(comm, my, send, recv, layout, in_place);
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "allgatherv-ring",
-                        [&comm, my, send, recv, &layout, in_place] {
-                          return ring_body(comm, my, send, recv, layout,
-                                           in_place);
-                        },
-                        obs::names::kPhaseExchange);
 }
 
 sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
@@ -113,7 +104,7 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
         [&comm, my, send, recv, &layout, in_place] {
           return seed_own(comm, my, send, recv, layout, in_place);
         },
-        TaskOpts{"seed", obs::names::kPhaseExchange, -1, layout.count(my), -1,
+        TaskOpts{"seed", obs::names::kPhaseExchange, -1, layout.count(my),
                  -1});
   }
   const hw::BufView own = recv.sub(layout.offset(my), layout.count(my));
@@ -121,7 +112,7 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
     const int src = (my - i + n) % n;
     const int t_recv = g.add(
         TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-        TaskOpts{"recv", obs::names::kPhaseExchange, -1, layout.count(src), -1,
+        TaskOpts{"recv", obs::names::kPhaseExchange, -1, layout.count(src),
                  comm.to_global(src)});
     g.depend_external(t_recv);
     comm.irecv(my, src, i, recv.sub(layout.offset(src), layout.count(src)))
@@ -130,9 +121,9 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
   for (int i = 1; i < n; ++i) {
     const int dst = (my + i) % n;
     const int t_send = g.add(
-        TaskKind::kSend, Lane::kNic,
+        TaskKind::kSend, Lane::kNone,
         [&comm, my, dst, i, own] { return comm.send(my, dst, i, own); },
-        TaskOpts{"send", obs::names::kPhaseExchange, -1, own.len, -1,
+        TaskOpts{"send", obs::names::kPhaseExchange, -1, own.len,
                  comm.to_global(dst)});
     if (seed >= 0) g.depend(t_send, seed);
   }

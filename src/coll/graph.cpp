@@ -60,35 +60,11 @@ GraphExecutor::GraphExecutor(sim::Engine& eng, obs::Sink& sink, int grank,
     : eng_(&eng), sink_(&sink), grank_(grank), opts_(std::move(opts)),
       cv_(eng) {}
 
-sim::Semaphore* GraphExecutor::lane_sem(const TaskGraph::Node& n) {
-  switch (n.lane) {
-    case Lane::kNone:
-      return nullptr;
-    case Lane::kCpu:
-      if (opts_.cpu_slots <= 0) return nullptr;
-      if (!cpu_sem_) {
-        cpu_sem_ = std::make_unique<sim::Semaphore>(*eng_, opts_.cpu_slots);
-      }
-      return cpu_sem_.get();
-    case Lane::kShm:
-      if (opts_.shm_slots <= 0) return nullptr;
-      if (!shm_sem_) {
-        shm_sem_ = std::make_unique<sim::Semaphore>(*eng_, opts_.shm_slots);
-      }
-      return shm_sem_.get();
-    case Lane::kNic: {
-      if (opts_.nic_slots <= 0) return nullptr;
-      const auto idx =
-          static_cast<std::size_t>(n.opts.rail + 1);  // -1 shares slot 0
-      if (idx >= nic_sems_.size()) nic_sems_.resize(idx + 1);
-      if (!nic_sems_[idx]) {
-        nic_sems_[idx] =
-            std::make_unique<sim::Semaphore>(*eng_, opts_.nic_slots);
-      }
-      return nic_sems_[idx].get();
-    }
-  }
-  return nullptr;
+sim::Semaphore* GraphExecutor::lane_sem(Lane lane) {
+  if (lane == Lane::kNone) return nullptr;
+  auto& sem = lane == Lane::kCpu ? cpu_sem_ : shm_sem_;
+  if (!sem) sem = std::make_unique<sim::Semaphore>(*eng_, 1);
+  return sem.get();
 }
 
 void GraphExecutor::satisfy(int task) {
@@ -126,7 +102,7 @@ void GraphExecutor::on_complete(int id) {
 
 sim::Task<void> GraphExecutor::run_one(int id) {
   auto& n = g_->nodes_[static_cast<std::size_t>(id)];
-  sim::Semaphore* lane = lane_sem(n);
+  sim::Semaphore* lane = lane_sem(n.lane);
   if (lane != nullptr) co_await lane->acquire();
 
   ++in_flight_;
@@ -158,7 +134,7 @@ sim::Task<void> GraphExecutor::run_one(int id) {
   auto span = sink_->open(grank_, trace::Kind::kTask, eng_->now(), n.opts.peer,
                           n.opts.bytes, std::move(label));
 
-  sim::Duration backoff = opts_.retry_backoff;
+  sim::Duration backoff = kTaskRetryBackoff;
   for (int attempt = 0;; ++attempt) {
     try {
       if (opts_.fail_injector && opts_.fail_injector(id, attempt)) {
@@ -167,11 +143,10 @@ sim::Task<void> GraphExecutor::run_one(int id) {
       co_await n.body();
       break;
     } catch (const sim::SimError&) {
-      // Wrapped legacy bodies are whole collectives: re-running one on a
-      // single rank would desync the SPMD rendezvous (op sequence numbers,
-      // shared-object keys), so they keep legacy fault semantics. Chunk
-      // tasks are idempotent and retry.
-      if (attempt >= opts_.max_retries || n.kind == TaskKind::kWrapped) {
+      // Macro tasks hold an SPMD rendezvous: re-running one on a single
+      // rank would desync it (op sequence numbers, shared-object keys), so
+      // their faults are terminal. Chunk tasks are idempotent and retry.
+      if (attempt >= kMaxTaskRetries || n.kind == TaskKind::kWrapped) {
         if (!error_) error_ = std::current_exception();
         break;
       }
@@ -332,15 +307,5 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t bytes, int chunks,
 }
 
 sim::Task<void> noop_task() { co_return; }
-
-sim::Task<void> run_as_graph(sim::Engine& eng, obs::Sink& sink, int grank,
-                             std::string label, TaskGraph::Body body,
-                             std::string phase) {
-  TaskGraph g;
-  g.add(TaskKind::kWrapped, Lane::kNone, std::move(body),
-        TaskOpts{std::move(label), std::move(phase), -1, 0, -1, -1});
-  GraphExecutor exec(eng, sink, grank);
-  co_await exec.run(g);
-}
 
 }  // namespace hmca::coll

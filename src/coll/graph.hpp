@@ -7,11 +7,10 @@
 // (and every registered *external* dependency — a net recv completion or an
 // shm publication — has been satisfied through a callback). The
 // `GraphExecutor` drains ready tasks onto lane resources (CPU copy engine,
-// shm port, per-rail NIC admission) inside the discrete-event simulator,
-// which is what turns the paper's hand-built phase-2/3 overlap into a
-// general property: phase boundaries dissolve into data dependencies, so
-// phase-1 tails, inter-node steps and shm distribution stream against each
-// other chunk by chunk.
+// shm port) inside the discrete-event simulator, which is what turns the
+// paper's hand-built phase-2/3 overlap into a general property: phase
+// boundaries dissolve into data dependencies, so phase-1 tails, inter-node
+// steps and shm distribution stream against each other chunk by chunk.
 //
 // Execution is deterministic: the ready queue is FIFO over task creation
 // order, lanes are engine-owned semaphores with FIFO wakeups, and all
@@ -21,6 +20,11 @@
 // during a transient window) are re-enqueued with a bounded backoff so the
 // transfer retries after `net` has restriped — the dataflow analogue of
 // rail-level retry. Exhausted retries surface the error from `run()`.
+//
+// Collective bodies with no chunk-level structure to expose (Bruck,
+// multi-leader, pairwise alltoall(v), the allgatherv Ring, the flat
+// allreduce/bcast algorithms) do not use the executor at all: they run as
+// plain coroutines under a `coll::PhaseSpan`.
 #pragma once
 
 #include <cstddef>
@@ -51,18 +55,22 @@ enum class TaskKind {
   kCma,      ///< kernel-assisted intra-node read
   kRdma,     ///< HCA loopback / RDMA read
   kReduce,   ///< CPU reduction sweep
-  kWrapped,  ///< an entire legacy collective body run as one task
+  /// A macro task: a whole sub-collective (a shm gather, an address-board
+  /// rendezvous, an intra-node stage) run as one task. It holds an SPMD
+  /// rendezvous, so it never retries, and the critical-path walk skips its
+  /// container span in favour of the work inside it.
+  kWrapped,
 };
 const char* task_kind_name(TaskKind k);
 
 /// Scheduling lane a task occupies while running. Lanes are admission
 /// control (how many tasks of a class may be in flight); the hardware
-/// model still arbitrates actual bandwidth via fluid resources.
+/// model still arbitrates actual bandwidth via fluid resources, which is
+/// also what paces NIC work, so sends, receives and RDMA reads take kNone.
 enum class Lane {
-  kNone,  ///< unconstrained (address exchange, wrapped bodies)
-  kCpu,   ///< the rank's copy engine: tasks serialize like a CPU would
-  kShm,   ///< shared-memory port
-  kNic,   ///< NIC doorbell; per-rail when `rail` >= 0
+  kNone,  ///< unconstrained (NIC transfers, address exchange, macro tasks)
+  kCpu,   ///< the rank's copy engine: one task at a time, like a CPU
+  kShm,   ///< the rank's shared-memory port: one task at a time
 };
 
 struct TaskOpts {
@@ -70,7 +78,6 @@ struct TaskOpts {
   std::string phase;  ///< phase attribution ("phase1".."phase3", "" = none)
   int chunk = -1;     ///< chunk index within the transfer, -1 = whole
   std::size_t bytes = 0;
-  int rail = -1;  ///< NIC lane selector; -1 = striped/shared lane
   int peer = -1;  ///< peer global rank for the span, -1 = n/a
 };
 
@@ -127,12 +134,12 @@ class RangeProducers {
   std::vector<Entry> spans_;
 };
 
+/// Re-enqueues per task after a `sim::SimError` (kWrapped tasks: none).
+inline constexpr int kMaxTaskRetries = 3;
+/// Backoff before the first re-enqueue; doubles per retry.
+inline constexpr sim::Duration kTaskRetryBackoff = 2e-6;
+
 struct ExecOptions {
-  int cpu_slots = 1;   ///< copies a rank runs concurrently (0 = unbounded)
-  int shm_slots = 1;   ///< concurrent shm-port operations (0 = unbounded)
-  int nic_slots = 0;   ///< per-rail NIC admission depth (0 = unbounded)
-  int max_retries = 3;            ///< re-enqueues per task after SimError
-  sim::Duration retry_backoff = 2e-6;  ///< base backoff (doubles per retry)
   /// Test hook: return true to fail the task's next attempt before the
   /// body runs (the executor treats it as a transient fault and retries).
   std::function<bool(int task, int attempt)> fail_injector;
@@ -164,7 +171,7 @@ class GraphExecutor {
 
  private:
   sim::Task<void> run_one(int id);
-  sim::Semaphore* lane_sem(const TaskGraph::Node& n);
+  sim::Semaphore* lane_sem(Lane lane);
   void on_complete(int id);
 
   sim::Engine* eng_;
@@ -184,11 +191,9 @@ class GraphExecutor {
   int ext_pending_ = 0;
   std::vector<int> early_satisfies_;
 
-  // Lane guards, created on demand: kCpu/kShm each have one; kNic has one
-  // per rail id (+1 so the striped lane -1 maps to slot 0).
+  // Single-slot lane guards, created on first use.
   std::unique_ptr<sim::Semaphore> cpu_sem_;
   std::unique_ptr<sim::Semaphore> shm_sem_;
-  std::vector<std::unique_ptr<sim::Semaphore>> nic_sems_;
 
   // Per-phase span bookkeeping: opened at the first task start of the
   // phase, closed when its last task completes. Phase names are interned
@@ -235,15 +240,5 @@ int chunks_for(std::size_t bytes);
 /// chunk `c` out of `chunks` over `bytes`, as {offset, len}.
 std::pair<std::size_t, std::size_t> chunk_range(std::size_t bytes, int chunks,
                                                 int c);
-
-/// Run a legacy collective body as a single wrapped graph task — every
-/// registry algorithm executes through the GraphExecutor even before it
-/// has a native chunk-level port (gaining task spans and fault retry).
-/// `phase` annotates the whole body with one kPhase span (flat algorithms
-/// pass obs::names::kPhaseExchange; bodies that emit their own phase1..3
-/// spans inside leave it empty).
-sim::Task<void> run_as_graph(sim::Engine& eng, obs::Sink& sink, int grank,
-                             std::string label, TaskGraph::Body body,
-                             std::string phase = {});
 
 }  // namespace hmca::coll

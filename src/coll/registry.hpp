@@ -96,20 +96,14 @@ using AllreduceApplicability =
     std::function<bool(const CommShape&, std::size_t count,
                        std::size_t elem_size)>;
 
-/// How an algorithm executes on the dataflow engine (coll/graph.hpp).
-enum class GraphMode {
-  kNone,     ///< legacy coroutine, not routed through a GraphExecutor
-  kWrapped,  ///< legacy body wrapped as a single graph task (spans, metrics)
-  kNative,   ///< emits a chunk-granular TaskGraph itself (streams, retries)
-};
-const char* graph_mode_name(GraphMode m);
-
 /// One registered algorithm. Every collective family is an instantiation of
 /// this record with its call signature (`Fn`) and applicability predicate
 /// type (`Applies`); the per-family names below are thin aliases. The
 /// `msg` a cost hook sees is the family's natural size: per-process bytes
 /// (allgather), total vector bytes (allreduce), payload bytes (bcast),
-/// total gathered bytes (allgatherv).
+/// total gathered bytes (allgatherv). How `fn` executes — a chunk task
+/// graph (coll/graph.hpp) or a plain coroutine under a PhaseSpan — is its
+/// own business: the record carries no execution metadata.
 template <class Fn, class Applies>
 struct Algo {
   std::string name;
@@ -117,11 +111,6 @@ struct Algo {
   Fn fn;
   Applies applies;  ///< null = always applicable
   CostFn cost;      ///< null = no estimate
-  /// Dataflow execution mode. Every allgather/allgatherv/alltoall(v)/
-  /// reduce_scatter entry must be kNative or kWrapped (all of them run via
-  /// GraphExecutor — the planner-backed ones emit native graphs);
-  /// allreduce and bcast families are not yet routed through the executor.
-  GraphMode graph = GraphMode::kNone;
 };
 
 using AllgatherAlgo = Algo<AllgatherFn, Applicability>;

@@ -191,7 +191,7 @@ void add_member_drains(coll::TaskGraph& g, coll::GraphExecutor& exec,
           return shm::copy_out_published(region, grank,
                                          static_cast<std::size_t>(i), recv);
         },
-        coll::TaskOpts{"p3 out", "phase3", i, 0, -1, -1});
+        coll::TaskOpts{"p3 out", "phase3", i, 0, -1});
     g.depend_external(t);
     outs.push_back(t);
   }
@@ -218,7 +218,7 @@ struct LeaderTasks {
         region(shared),
         fence(fenced ? g.add(coll::TaskKind::kRecv, coll::Lane::kNone,
                              [] { return coll::noop_task(); },
-                             coll::TaskOpts{"p2 fence", "phase2", -1, 0, -1,
+                             coll::TaskOpts{"p2 fence", "phase2", -1, 0,
                                             -1})
                      : -1) {}
 
@@ -226,11 +226,11 @@ struct LeaderTasks {
   int send(int to, int tag, std::size_t off, std::size_t len,
            const std::string& step, int c) {
     return g.add(
-        coll::TaskKind::kSend, coll::Lane::kNic,
+        coll::TaskKind::kSend, coll::Lane::kNone,
         [&lc = lcomm, n = node, to, tag, data = buf.sub(off, len)] {
           return lc.send(n, to, tag, data);
         },
-        coll::TaskOpts{"p2 send " + step, "phase2", c, len, -1,
+        coll::TaskOpts{"p2 send " + step, "phase2", c, len,
                        lcomm.to_global(to)});
   }
 
@@ -241,7 +241,7 @@ struct LeaderTasks {
     const int t_recv = g.add(
         coll::TaskKind::kRecv, coll::Lane::kNone,
         [] { return coll::noop_task(); },
-        coll::TaskOpts{"p2 recv " + step, "phase2", c, len, -1,
+        coll::TaskOpts{"p2 recv " + step, "phase2", c, len,
                        lcomm.to_global(from)});
     g.depend_external(t_recv);
     lcomm.irecv(node, from, tag, buf.sub(off, len))
@@ -253,7 +253,7 @@ struct LeaderTasks {
           [r = region, gr = grank, src = buf.sub(off, len), off] {
             return publish_chunk(r, gr, src, off);
           },
-          coll::TaskOpts{"p3 pub " + step, "phase2", c, len, -1, -1});
+          coll::TaskOpts{"p3 pub " + step, "phase2", c, len, -1});
       g.depend(t_pub, fence >= 0 ? fence : t_recv);
     }
     return t_recv;
@@ -313,7 +313,7 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
           return shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
                                    node, local, l, seq);
         },
-        coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
+        coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1});
     prod.add(nbase, chunk, t);
   } else if (l > 1 && single_stage(opts.plan)) {
     build_mha_intra_tasks(g, prod, nbase, comm.world().node_comm(node), local,
@@ -331,7 +331,7 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
           return plan_phase1(comm, my, send, node_slice, msg, in_place, node,
                              local, l, *plan, off);
         },
-        coll::TaskOpts{"nlevel", "phase1", -1, chunk, -1, -1});
+        coll::TaskOpts{"nlevel", "phase1", -1, chunk, -1});
     prod.add(nbase, chunk, t);
   } else if (!in_place && msg > 0) {
     const int t = g.add(
@@ -339,7 +339,7 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
         [&comm, my, send, recv, msg, in_place] {
           return coll::seed_own_block(comm, my, send, recv, msg, in_place);
         },
-        coll::TaskOpts{"seed", "phase1", -1, msg, -1, -1});
+        coll::TaskOpts{"seed", "phase1", -1, msg, -1});
     prod.add(nbase, msg, t);
   }
 

@@ -45,9 +45,13 @@ LevelTransport parse_transport(const std::string& s) {
        "' (expected auto, mha-intra, cma, shm, rd or ring)");
 }
 
-LeaderPolicy parse_leader(const std::string& s) {
-  if (s == "first-rank") return LeaderPolicy::kFirstRank;
-  fail("hierarchy: unknown leader policy '" + s + "' (expected first-rank)");
+// Every group's leader is its first rank (the contiguous block
+// distribution makes that the NUMA-local choice); the document may still
+// say so explicitly.
+void check_leader(const std::string& s) {
+  if (s != "first-rank") {
+    fail("hierarchy: unknown leader policy '" + s + "' (expected first-rank)");
+  }
 }
 
 // Legal transport placements; see the LevelTransport doc in the header.
@@ -180,10 +184,8 @@ void HierarchySpec::validate() const {
 
 HierarchySpec HierarchySpec::mha() {
   HierarchySpec s;
-  s.levels = {HierLevel{LevelKind::kNode, LevelTransport::kAuto,
-                        LeaderPolicy::kFirstRank, {}},
-              HierLevel{LevelKind::kCluster, LevelTransport::kAuto,
-                        LeaderPolicy::kFirstRank, {}}};
+  s.levels = {HierLevel{LevelKind::kNode, LevelTransport::kAuto, {}},
+              HierLevel{LevelKind::kCluster, LevelTransport::kAuto, {}}};
   return s;
 }
 
@@ -197,12 +199,9 @@ HierarchySpec HierarchySpec::derive(const hw::ClusterSpec& spec, int depth) {
          "expressed with custom/adapter-group levels via from_json");
   }
   HierarchySpec s;
-  s.levels = {HierLevel{LevelKind::kSocket, LevelTransport::kAuto,
-                        LeaderPolicy::kFirstRank, {}},
-              HierLevel{LevelKind::kNode, LevelTransport::kAuto,
-                        LeaderPolicy::kFirstRank, {}},
-              HierLevel{LevelKind::kCluster, LevelTransport::kAuto,
-                        LeaderPolicy::kFirstRank, {}}};
+  s.levels = {HierLevel{LevelKind::kSocket, LevelTransport::kAuto, {}},
+              HierLevel{LevelKind::kNode, LevelTransport::kAuto, {}},
+              HierLevel{LevelKind::kCluster, LevelTransport::kAuto, {}}};
   return s;
 }
 
@@ -222,9 +221,7 @@ HierarchySpec HierarchySpec::from_json(const std::string& text) {
       if (const auto* t = lj.find("transport")) {
         lv.transport = parse_transport(t->string());
       }
-      if (const auto* p = lj.find("leader")) {
-        lv.leader = parse_leader(p->string());
-      }
+      if (const auto* p = lj.find("leader")) check_leader(p->string());
       if (const auto* f = lj.find("firsts")) {
         for (const auto& v : f->array()) {
           lv.custom_firsts.push_back(static_cast<int>(v.number()));

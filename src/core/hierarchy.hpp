@@ -57,18 +57,12 @@ enum class LevelKind { kSocket, kAdapterGroup, kNode, kCluster, kCustom };
 /// cluster level (they pin phase 2).
 enum class LevelTransport { kAuto, kMhaIntra, kCma, kShm, kRd, kRing };
 
-/// How a group elects its leader. Only first-rank leadership exists today
-/// (the contiguous block distribution makes it the NUMA-local choice);
-/// the enum keeps the knob in the schema.
-enum class LeaderPolicy { kFirstRank };
-
 const char* to_string(LevelKind k);
 const char* to_string(LevelTransport t);
 
 struct HierLevel {
   LevelKind kind = LevelKind::kNode;
   LevelTransport transport = LevelTransport::kAuto;
-  LeaderPolicy leader = LeaderPolicy::kFirstRank;
   /// kCustom only: first node-local rank of every group, ascending,
   /// starting at 0 (the final boundary, ppn, is implicit).
   std::vector<int> custom_firsts;

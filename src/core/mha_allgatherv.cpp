@@ -44,9 +44,11 @@ sim::Task<void> seed_copy(hw::Cluster& cl, int grank, hw::BufView dst,
   hw::copy_payload(dst, src);
 }
 
-// The byte-budget direct-spread walk (see allgatherv_mha_intra): the
-// CPU/HCA split depends on the variable block sizes encountered along the
-// walk, so the body stays one coroutine and runs as a wrapped graph task.
+// Intra-node MHA Allgatherv over a node-local communicator: CMA direct
+// spread with the far end of the schedule offloaded to the HCAs until the
+// Eq. 1 byte budget is spent. The CPU/HCA split depends on the variable
+// block sizes encountered along the walk, so the body stays one coroutine
+// and runs as allgatherv_mha's phase-1 macro task.
 sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
                            hw::BufView recv, coll::VarLayout layout,
                            bool in_place) {
@@ -111,20 +113,6 @@ sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
 
 }  // namespace
 
-sim::Task<void> allgatherv_mha_intra(mpi::Comm& node_comm, int my,
-                                     hw::BufView send, hw::BufView recv,
-                                     const coll::VarLayout& layout,
-                                     bool in_place) {
-  check_args(node_comm, my, send, recv, layout, in_place);
-  coll::VarLayout l = layout;
-  co_await coll::run_as_graph(
-      node_comm.engine(), node_comm.sink(), node_comm.to_global(my),
-      "mha-intra-v",
-      [&node_comm, my, send, recv, l = std::move(l), in_place] {
-        return intra_body(node_comm, my, send, recv, l, in_place);
-      });
-}
-
 sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv,
                                const coll::VarLayout& layout, bool in_place) {
@@ -173,14 +161,14 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
           return intra_body(comm.world().node_comm(node), local, send,
                             node_slice, local_layout, in_place);
         },
-        coll::TaskOpts{"intra-v", "phase1", -1, node_bytes, -1, -1});
+        coll::TaskOpts{"intra-v", "phase1", -1, node_bytes, -1});
     prod.add(node_off, node_bytes, t_p1);
   } else if (!in_place && layout.count(my) > 0) {
     const hw::BufView dst = recv.sub(layout.offset(my), layout.count(my));
     const int t_p1 = g.add(
         coll::TaskKind::kCopy, coll::Lane::kCpu,
         [&cl, grank, dst, send] { return seed_copy(cl, grank, dst, send); },
-        coll::TaskOpts{"seed", "phase1", -1, layout.count(my), -1, -1});
+        coll::TaskOpts{"seed", "phase1", -1, layout.count(my), -1});
     prod.add(node_off, node_bytes, t_p1);
   }
 

@@ -76,7 +76,7 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
           return coll::seed_own_block(node_comm, my, send, recv, msg,
                                       in_place);
         },
-        coll::TaskOpts{"seed", phase, -1, msg, -1, -1});
+        coll::TaskOpts{"seed", phase, -1, msg, -1});
     producers.add(producer_base + own_off, msg, t_seed);
   }
   if (l == 1) return;
@@ -92,7 +92,7 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
   const int t_board = g.add(
       coll::TaskKind::kWrapped, coll::Lane::kNone,
       [board, my, contribution] { return board->put_and_wait(my, contribution); },
-      coll::TaskOpts{"board", phase, -1, 0, -1, -1});
+      coll::TaskOpts{"board", phase, -1, 0, -1});
 
   // Workload split (Fig. 4b / Fig. 5): the d *farthest* distances go to the
   // adapters, byte-granular — `full` whole blocks plus a `frac_bytes` slice
@@ -122,7 +122,7 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
         [&net, grank, board, src, dst, src_g] {
           return net.cma_get(grank, board->view(src), dst, src_g);
         },
-        coll::TaskOpts{"get b" + std::to_string(src), phase, -1, msg, -1,
+        coll::TaskOpts{"get b" + std::to_string(src), phase, -1, msg,
                        src_g});
     g.depend(t, t_board);
     producers.add(producer_base + static_cast<std::size_t>(src) * msg, msg, t);
@@ -139,7 +139,7 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
                              dst.sub(0, cpu_part), src_g);
         },
         coll::TaskOpts{"get b" + std::to_string(src) + " cpu-part", phase, -1,
-                       cpu_part, -1, src_g});
+                       cpu_part, src_g});
     g.depend(t, t_board);
     producers.add(producer_base + static_cast<std::size_t>(src) * msg,
                   cpu_part, t);
@@ -150,12 +150,12 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
     const auto [src, dst] = block(i);
     const int src_g = node_comm.to_global(src);
     const int t = g.add(
-        coll::TaskKind::kRdma, coll::Lane::kNic,
+        coll::TaskKind::kRdma, coll::Lane::kNone,
         [&net, grank, board, src, dst, src_g] {
           return net.rdma_get(grank, src_g, board->view(src), dst,
                               net::Net::kStripe);
         },
-        coll::TaskOpts{"hca b" + std::to_string(src), phase, -1, msg, -1,
+        coll::TaskOpts{"hca b" + std::to_string(src), phase, -1, msg,
                        src_g});
     g.depend(t, t_board);
     producers.add(producer_base + static_cast<std::size_t>(src) * msg, msg, t);
@@ -167,14 +167,14 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
     const std::size_t cpu_part = msg - frac_bytes;
     const std::size_t frac = frac_bytes;
     const int t = g.add(
-        coll::TaskKind::kRdma, coll::Lane::kNic,
+        coll::TaskKind::kRdma, coll::Lane::kNone,
         [&net, grank, board, src, dst, src_g, cpu_part, frac] {
           return net.rdma_get(grank, src_g,
                               board->view(src).sub(cpu_part, frac),
                               dst.sub(cpu_part, frac), net::Net::kStripe);
         },
         coll::TaskOpts{"hca b" + std::to_string(src) + " frac", phase, -1,
-                       frac, -1, src_g});
+                       frac, src_g});
     g.depend(t, t_board);
     producers.add(
         producer_base + static_cast<std::size_t>(src) * msg + cpu_part, frac,

@@ -79,8 +79,7 @@ void register_core_impl(coll::Registry& reg) {
           std::size_t m) {
          return model::mha_intra_time(p, s.comm_size,
                                       static_cast<double>(m));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter_rd",
        "Sec. 3.2 hierarchical, RD inter-leader phase, overlapped",
@@ -97,8 +96,7 @@ void register_core_impl(coll::Registry& reg) {
           std::size_t m) {
          return model::mha_inter_time_rd(p, s.nodes, s.ppn,
                                          static_cast<double>(m));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter_ring",
        "Sec. 3.2 hierarchical, Ring inter-leader phase, overlapped",
@@ -113,8 +111,7 @@ void register_core_impl(coll::Registry& reg) {
           std::size_t m) {
          return model::mha_inter_time_ring(p, s.nodes, s.ppn,
                                            static_cast<double>(m));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter",
        "Sec. 3.2 hierarchical, model-resolved RD/Ring phase 2 (Fig. 8)",
@@ -128,8 +125,7 @@ void register_core_impl(coll::Registry& reg) {
          const double mm = static_cast<double>(m);
          return std::min(model::mha_inter_time_rd(p, s.nodes, s.ppn, mm),
                          model::mha_inter_time_ring(p, s.nodes, s.ppn, mm));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter_barrier",
        "Sec. 3.2 with strict phase barriers (dataflow-off baseline)",
@@ -140,8 +136,7 @@ void register_core_impl(coll::Registry& reg) {
          return allgather_hierarchical(c, my, s, rv, m, ip, o);
        },
        world_multi_node,
-       {},
-       coll::GraphMode::kNative});
+       {}});
   reg.add_allgather(
       {"single_leader",
        "Mamidala prior design: shm gather, RD exchange, overlapped",
@@ -155,7 +150,7 @@ void register_core_impl(coll::Registry& reg) {
          return allgather_hierarchical(c, my, s, rv, m, ip, o);
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
   reg.add_allgather(
       {"numa3",
        "Sec. 7: 3-level NUMA-aware hierarchical (socket, node, cluster)",
@@ -166,7 +161,7 @@ void register_core_impl(coll::Registry& reg) {
                                                           3));
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
 
   reg.add_allreduce(
       {"ring_mha",
@@ -219,8 +214,7 @@ void register_core_impl(coll::Registry& reg) {
          t += (s.nodes - 1) * p.alpha_h +
               s.ppn * (n - s.ppn) * msg / (p.bw_h * p.hcas);
          return t;
-       },
-       coll::GraphMode::kNative});
+       }});
 
   reg.add_bcast({"mha",
                  "hierarchical: leader scatter-allgather + pipelined shm",
@@ -248,7 +242,7 @@ void register_core_impl(coll::Registry& reg) {
          return allgatherv_mha(c, my, s, rv, l, ip);
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
 }
 
 /// Record the decision as a zero-length kPhase span on the deciding rank,

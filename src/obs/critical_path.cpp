@@ -23,9 +23,9 @@ constexpr double kEps = 1e-12;
 
 bool is_link(const trace::Span& s) {
   if (s.kind == trace::Kind::kPhase) return false;
-  // Wrapped legacy bodies run as one whole-collective container task per
-  // rank; like kPhase spans they *enclose* the real activity, and letting
-  // them onto the path would collapse it to a single unclassifiable span.
+  // Macro tasks run a whole sub-collective as one container task; like
+  // kPhase spans they *enclose* the real activity, and letting them onto
+  // the path would collapse it to a single unclassifiable span.
   if (s.kind == trace::Kind::kTask && names::is_wrapped_task(s.label)) {
     return false;
   }

@@ -138,8 +138,9 @@ inline const char* resource_class_of_name(std::string_view kind_name_str) {
 }
 
 /// Resource class of a dataflow task-kind token (coll::task_kind_name
-/// values, the second ':'-field of a task span label). "wrapped" runs an
-/// entire legacy body as one task — no single class — and maps to "".
+/// values, the second ':'-field of a task span label). "wrapped" runs a
+/// whole sub-collective as one macro task — no single class — and maps
+/// to "".
 /// The tokens are mirrored here (not included from coll/) because obs
 /// sits below coll in the link order; the golden name test pins both
 /// sides.
@@ -156,10 +157,10 @@ inline const char* task_resource_class(std::string_view token) {
 /// span classifies by its label's task-kind token ("task:rdma:hca b1" ->
 /// nic) so critical paths made of dataflow tasks still attribute to
 /// cpu/nic/shm instead of vanishing into the "" container class.
-/// True for the whole-run container span of a wrapped legacy body
-/// ("task:wrapped:<label>"). These cover every inner span on their rank,
-/// so path/choke analyses must treat them like kPhase containers, not
-/// activity.
+/// True for the container span of a macro task ("task:wrapped:<label>",
+/// e.g. a shm gather or an intra-node stage). These cover every inner span
+/// of their stage on their rank, so path/choke analyses must treat them
+/// like kPhase containers, not activity.
 inline bool is_wrapped_task(std::string_view label) {
   if (label.rfind(kTaskPrefix, 0) != 0) return false;
   std::string_view rest = label.substr(5);

@@ -109,11 +109,7 @@ void print_algo_list(std::ostream& os) {
     for (const auto& a : entries) {
       os << "  " << a.name;
       for (std::size_t i = a.name.size(); i < 18; ++i) os << ' ';
-      os << a.summary;
-      if (a.graph != coll::GraphMode::kNone) {
-        os << "  [" << coll::graph_mode_name(a.graph) << ']';
-      }
-      os << '\n';
+      os << a.summary << '\n';
     }
   };
   section("allgather", reg.allgathers());
@@ -168,17 +164,6 @@ coll::AlltoallFn pinned_alltoall(const std::string& name) {
       inapplicable("alltoall", name, coll::CommShape::of(c));
     }
     return a.fn(c, my, s, rv, m);
-  };
-}
-
-coll::AlltoallvFn pinned_alltoallv(const std::string& name) {
-  const auto& a = coll::Registry::instance().get_alltoallv(name);
-  return [&a, name](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-                    const coll::AlltoallvLayout& layout) {
-    if (a.applies && !a.applies(coll::CommShape::of(c), layout.total())) {
-      inapplicable("alltoallv", name, coll::CommShape::of(c));
-    }
-    return a.fn(c, my, s, rv, layout);
   };
 }
 

@@ -80,9 +80,8 @@ coll::AllgatherFn pinned_allgather(const std::string& name);
 /// Same for Allreduce.
 coll::AllreduceFn pinned_allreduce(const std::string& name);
 
-/// Same for Alltoall / Alltoallv / Reduce-scatter.
+/// Same for Alltoall / Reduce-scatter.
 coll::AlltoallFn pinned_alltoall(const std::string& name);
-coll::AlltoallvFn pinned_alltoallv(const std::string& name);
 coll::ReduceScatterFn pinned_reduce_scatter(const std::string& name);
 
 }  // namespace hmca::osu

@@ -146,7 +146,7 @@ TEST(GraphExecutor, TransientFaultRetriesWithBackoff) {
   obs::CollectSink sink(&tracer, &metrics);
   std::vector<int> order;
   TaskGraph g;
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 0));
+  g.add(TaskKind::kSend, Lane::kNone, body(eng, order, 0));
   ExecOptions opts;
   opts.fail_injector = [](int, int attempt) { return attempt < 2; };
   GraphExecutor exec(eng, sink, 0, opts);
@@ -156,14 +156,14 @@ TEST(GraphExecutor, TransientFaultRetriesWithBackoff) {
   EXPECT_EQ(exec.retries(), 2u);
   EXPECT_EQ(metrics.counter_value("coll.task_retries"), 2.0);
   // Backoff doubles: the success attempt starts no earlier than base + 2x.
-  EXPECT_GE(eng.now(), 3 * ExecOptions{}.retry_backoff);
+  EXPECT_GE(eng.now(), 3 * kTaskRetryBackoff);
 }
 
 TEST(GraphExecutor, ExhaustedRetriesSurfaceTheError) {
   sim::Engine eng;
   std::vector<int> order;
   TaskGraph g;
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 0));
+  g.add(TaskKind::kSend, Lane::kNone, body(eng, order, 0));
   ExecOptions opts;
   opts.fail_injector = [](int, int) { return true; };
   GraphExecutor exec(eng, obs::null_sink(), 0, opts);
@@ -171,15 +171,14 @@ TEST(GraphExecutor, ExhaustedRetriesSurfaceTheError) {
   eng.spawn(drive_expecting_error(exec, g, threw));
   eng.run();
   EXPECT_TRUE(threw);
-  EXPECT_EQ(exec.retries(),
-            static_cast<std::uint64_t>(ExecOptions{}.max_retries));
+  EXPECT_EQ(exec.retries(), static_cast<std::uint64_t>(kMaxTaskRetries));
   EXPECT_TRUE(order.empty());
 }
 
 TEST(GraphExecutor, WrappedTasksNeverRetry) {
-  // A wrapped task is an entire legacy collective: re-running one on a
-  // single rank would desync the SPMD rendezvous, so its faults are
-  // terminal (legacy semantics), with zero retries.
+  // A wrapped task is a macro task holding an SPMD rendezvous: re-running
+  // one on a single rank would desync it, so its faults are terminal, with
+  // zero retries.
   sim::Engine eng;
   std::vector<int> order;
   TaskGraph g;
@@ -215,26 +214,56 @@ TEST(GraphExecutor, PipelineDepthReflectsConcurrency) {
   EXPECT_LT(eng.now(), 2 * kTick);
 }
 
-TEST(GraphExecutor, NicLanesAdmitPerRail) {
-  // nic_slots=1 with two rails: tasks on the same rail serialize, tasks on
-  // different rails run concurrently.
+TEST(GraphExecutor, CpuLaneAdmitsOneTaskAtATime) {
+  // The copy engine is one slot: ready kCpu tasks queue on it in creation
+  // order instead of overlapping.
   sim::Engine eng;
   std::vector<int> order;
   TaskGraph g;
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 0),
-        TaskOpts{"", "", -1, 0, 0, -1});
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 1),
-        TaskOpts{"", "", -1, 0, 0, -1});
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 2),
-        TaskOpts{"", "", -1, 0, 1, -1});
-  ExecOptions opts;
-  opts.nic_slots = 1;
-  GraphExecutor exec(eng, obs::null_sink(), 0, opts);
+  g.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 0, 3 * kTick));
+  g.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 1, kTick));
+  g.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 2, kTick));
+  GraphExecutor exec(eng, obs::null_sink(), 0);
   eng.spawn(drive(exec, g));
   eng.run();
-  EXPECT_EQ(order.size(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(exec.pipeline_depth(), 1);
+  EXPECT_DOUBLE_EQ(eng.now(), 5 * kTick);
+}
+
+TEST(GraphExecutor, ShmLaneSerializesApartFromCpuLane) {
+  // Two kShm and two kCpu tasks: each lane runs its own two back to back,
+  // while the lanes overlap each other, so the graph takes two ticks.
+  sim::Engine eng;
+  std::vector<int> order;
+  TaskGraph g;
+  g.add(TaskKind::kCopy, Lane::kShm, body(eng, order, 0));
+  g.add(TaskKind::kCopy, Lane::kShm, body(eng, order, 1));
+  g.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 2));
+  g.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 3));
+  GraphExecutor exec(eng, obs::null_sink(), 0);
+  eng.spawn(drive(exec, g));
+  eng.run();
+  EXPECT_EQ(order.size(), 4u);
   EXPECT_EQ(exec.pipeline_depth(), 2);
-  EXPECT_DOUBLE_EQ(eng.now(), 2 * kTick);  // rail 0 serializes its two tasks
+  EXPECT_DOUBLE_EQ(eng.now(), 2 * kTick);
+}
+
+TEST(GraphExecutor, EachExecutorOwnsItsLanes) {
+  // Lanes belong to one rank's executor: two ranks' kCpu tasks run at the
+  // same time, however many each has queued.
+  sim::Engine eng;
+  std::vector<int> order;
+  TaskGraph g0, g1;
+  g0.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 0));
+  g1.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 1));
+  GraphExecutor e0(eng, obs::null_sink(), 0);
+  GraphExecutor e1(eng, obs::null_sink(), 1);
+  eng.spawn(drive(e0, g0));
+  eng.spawn(drive(e1, g1));
+  eng.run();
+  EXPECT_EQ(order.size(), 2u);
+  EXPECT_DOUBLE_EQ(eng.now(), kTick);
 }
 
 TEST(GraphExecutor, TaskSpansCarryKindAndChunkTags) {
@@ -244,7 +273,7 @@ TEST(GraphExecutor, TaskSpansCarryKindAndChunkTags) {
   std::vector<int> order;
   TaskGraph g;
   g.add(TaskKind::kSend, Lane::kNone, body(eng, order, 0),
-        TaskOpts{"s2", "phase2", 5, 4096, -1, 3});
+        TaskOpts{"s2", "phase2", 5, 4096, 3});
   GraphExecutor exec(eng, sink, 0);
   eng.spawn(drive(exec, g));
   eng.run();
@@ -272,7 +301,7 @@ TEST(GraphExecutor, IdenticalGraphsRunDeterministically) {
     std::vector<int> ids;
     for (int i = 0; i < 6; ++i) {
       ids.push_back(g.add(i % 2 == 0 ? TaskKind::kCopy : TaskKind::kSend,
-                          i % 2 == 0 ? Lane::kCpu : Lane::kNic,
+                          i % 2 == 0 ? Lane::kCpu : Lane::kNone,
                           body(eng, order, i, (i + 1) * kTick)));
     }
     g.depend(ids[4], ids[1]);
@@ -286,28 +315,6 @@ TEST(GraphExecutor, IdenticalGraphsRunDeterministically) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
-}
-
-TEST(RunAsGraph, WrapsLegacyBodyWithTaskSpan) {
-  sim::Engine eng;
-  trace::Tracer tracer;
-  obs::CollectSink sink(&tracer);
-  std::vector<int> order;
-  const auto run = [&] {
-    return run_as_graph(eng, sink, 4, "legacy",
-                        [&eng, &order] { return log_after(eng, order, 9, 0); });
-  };
-  eng.spawn(run());
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{9}));
-  bool found = false;
-  for (const auto& s : tracer.spans()) {
-    if (s.kind == trace::Kind::kTask && s.label == "task:wrapped:legacy") {
-      found = true;
-      EXPECT_EQ(s.rank, 4);
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 // ---- RangeProducers ----

@@ -227,6 +227,22 @@ TEST(HierarchySpecTest, JsonRoundTrip) {
   EXPECT_THROW(HierarchySpec::from_json(
                    R"({"levels": [{"kind": "flux"}, {"kind": "cluster"}]})"),
                HierarchyError);
+
+  // Every group is led by its first rank: documents state it on every
+  // level, and any other leader policy is refused by name.
+  EXPECT_EQ(HierarchySpec::mha().to_json(),
+            R"({"levels": [{"kind": "node", "transport": "auto", )"
+            R"("leader": "first-rank"}, {"kind": "cluster", )"
+            R"("transport": "auto", "leader": "first-rank"}]})");
+  try {
+    HierarchySpec::from_json(
+        R"({"levels": [{"kind": "node", "leader": "last-rank"}, )"
+        R"({"kind": "cluster"}]})");
+    ADD_FAILURE() << "leader policy 'last-rank' was accepted";
+  } catch (const HierarchyError& e) {
+    EXPECT_STREQ(e.what(), "hierarchy: unknown leader policy 'last-rank' "
+                           "(expected first-rank)");
+  }
 }
 
 // ---- Resolution invariants ----

@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "coll/graph.hpp"
-#include "coll/registry.hpp"
 #include "core/hierarchical.hpp"
-#include "core/selector.hpp"
 #include "hw/spec.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
@@ -175,24 +173,6 @@ TEST(Pipeline, BarrierModeFencesPublishesBehindTheLastRecv) {
     EXPECT_FALSE(publishes_fenced(run(true), leaders)) << name;
     EXPECT_EQ(leaders, 4) << name;
   }
-}
-
-// ---- Registry metadata: everything executes via the GraphExecutor ----
-
-TEST(Pipeline, EveryAllgatherRegistersAGraphMode) {
-  register_core_algorithms();
-  const auto& reg = coll::Registry::instance();
-  for (const auto& a : reg.allgathers()) {
-    EXPECT_NE(a.graph, coll::GraphMode::kNone) << a.name;
-  }
-  for (const auto& a : reg.allgathervs()) {
-    EXPECT_NE(a.graph, coll::GraphMode::kNone) << a.name;
-  }
-  // The paper's headline designs stream natively.
-  EXPECT_EQ(reg.get_allgather("mha_inter").graph, coll::GraphMode::kNative);
-  EXPECT_EQ(reg.get_allgather("mha_inter_barrier").graph,
-            coll::GraphMode::kNative);
-  EXPECT_EQ(reg.get_allgather("ring").graph, coll::GraphMode::kNative);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Span-coverage conformance: every registered algorithm, in every
 // collective family, must emit the telemetry the diff attribution needs —
-// phase annotations and (for graph-routed families) task spans whose
-// critical path classifies into cpu/nic/shm resource classes. An algorithm
+// a phase span on every rank and a critical path that classifies into
+// cpu/nic/shm resource classes. An algorithm
 // that runs silent would align against nothing in hmca-diff, so its
 // regressions could never be explained; this suite makes that a test
 // failure instead of a blind spot.
@@ -55,7 +55,6 @@ struct Coverage {
   std::size_t spans = 0;
   std::size_t phase_spans = 0;  ///< non-annotation kPhase spans
   std::set<int> phase_ranks;    ///< ranks that emitted a phase span
-  std::size_t task_spans = 0;
   double cp_total_us = 0;
   double cp_classified_us = 0;  ///< path time with a non-"" resource class
 };
@@ -68,7 +67,6 @@ Coverage analyze(const std::vector<trace::Span>& spans) {
       ++c.phase_spans;
       c.phase_ranks.insert(s.rank);
     }
-    if (s.kind == trace::Kind::kTask) ++c.task_spans;
   }
   const obs::CriticalPathReport cp = obs::analyze_critical_path(spans);
   c.cp_total_us = cp.total * 1e6;
@@ -80,17 +78,19 @@ Coverage analyze(const std::vector<trace::Span>& spans) {
   return c;
 }
 
-/// The shared assertions: phases annotated, critical path non-empty and
-/// attributable. `graph_routed` additionally requires task spans (legacy
-/// allreduce/bcast bodies are not yet executed through the task graph).
+/// The shared assertions: every rank annotated with a phase, critical
+/// path non-empty and attributable. A rank without a phase span aligns
+/// against nothing in hmca-diff, so every rank of every algorithm —
+/// members of a hierarchical cascade or a multi-leader group included —
+/// must attribute its time to a phase.
 void expect_attributable(const std::string& family, const std::string& algo,
-                         const Coverage& c, bool graph_routed) {
+                         const Coverage& c, const Trial& t) {
   SCOPED_TRACE(family + " '" + algo + "'");
   EXPECT_GT(c.spans, 0u) << "emitted no spans at all";
   EXPECT_GT(c.phase_spans, 0u) << "emitted no phase annotations";
-  if (graph_routed) {
-    EXPECT_GT(c.task_spans, 0u) << "graph-routed but emitted no task spans";
-  }
+  EXPECT_EQ(c.phase_ranks.size(), static_cast<std::size_t>(t.procs()))
+      << "only " << c.phase_ranks.size() << " of " << t.procs()
+      << " ranks emitted a phase span";
   EXPECT_GT(c.cp_total_us, 0.0) << "critical path is empty";
   EXPECT_GT(c.cp_classified_us, 0.0)
       << "no critical-path time classifies into cpu/nic/shm/wait — "
@@ -111,8 +111,7 @@ TEST_F(SpanCoverage, Allgathers) {
       trace::Tracer tracer;
       obs::CollectSink sink(&tracer);
       testing::conf::run_allgather(algo.fn, t, sink);
-      expect_attributable("allgather", algo.name, analyze(tracer.spans()),
-                          algo.graph != coll::GraphMode::kNone);
+      expect_attributable("allgather", algo.name, analyze(tracer.spans()), t);
     }
   }
 }
@@ -132,8 +131,7 @@ TEST_F(SpanCoverage, Allgathervs) {
     trace::Tracer tracer;
     obs::CollectSink sink(&tracer);
     testing::conf::run_allgatherv(algo.fn, t, counts, &sink);
-    expect_attributable("allgatherv", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+    expect_attributable("allgatherv", algo.name, analyze(tracer.spans()), t);
   }
 }
 
@@ -146,8 +144,7 @@ TEST_F(SpanCoverage, Alltoalls) {
     trace::Tracer tracer;
     obs::CollectSink sink(&tracer);
     testing::conf::run_alltoall(algo.fn, t, msg, &sink);
-    expect_attributable("alltoall", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+    expect_attributable("alltoall", algo.name, analyze(tracer.spans()), t);
   }
 }
 
@@ -169,8 +166,7 @@ TEST_F(SpanCoverage, Alltoallvs) {
     trace::Tracer tracer;
     obs::CollectSink sink(&tracer);
     testing::conf::run_alltoallv(algo.fn, t, counts, &sink);
-    expect_attributable("alltoallv", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+    expect_attributable("alltoallv", algo.name, analyze(tracer.spans()), t);
   }
 }
 
@@ -188,7 +184,7 @@ TEST_F(SpanCoverage, ReduceScatters) {
     testing::conf::run_reduce_scatter(algo.fn, t, count, mpi::Dtype::kInt32,
                                       mpi::ReduceOp::kSum, &sink);
     expect_attributable("reduce_scatter", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+                        t);
   }
 }
 
@@ -205,8 +201,7 @@ TEST_F(SpanCoverage, Allreduces) {
     obs::CollectSink sink(&tracer);
     testing::conf::run_allreduce(algo.fn, t, count, mpi::Dtype::kInt32,
                                  mpi::ReduceOp::kSum, &sink);
-    expect_attributable("allreduce", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+    expect_attributable("allreduce", algo.name, analyze(tracer.spans()), t);
   }
 }
 
@@ -219,15 +214,7 @@ TEST_F(SpanCoverage, Bcasts) {
       trace::Tracer tracer;
       obs::CollectSink sink(&tracer);
       testing::conf::run_bcast(algo.fn, t, &sink);
-      const Coverage c = analyze(tracer.spans());
-      expect_attributable("bcast", algo.name, c,
-                          algo.graph != coll::GraphMode::kNone);
-      // A rank without a phase span aligns against nothing in hmca-diff:
-      // every rank of every bcast, members of a hierarchical cascade
-      // included, must attribute its time to a phase.
-      EXPECT_EQ(c.phase_ranks.size(), static_cast<std::size_t>(t.procs()))
-          << "bcast '" << algo.name << "': only " << c.phase_ranks.size()
-          << " of " << t.procs() << " ranks emitted a phase span";
+      expect_attributable("bcast", algo.name, analyze(tracer.spans()), t);
     }
   }
 }
