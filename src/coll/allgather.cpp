@@ -451,21 +451,15 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
           return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
                                                   comm.sink());
         });
-    std::vector<int> outs;
-    outs.reserve(static_cast<std::size_t>(nodes - 1));
-    for (int i = 0; i + 1 < nodes; ++i) {
-      const int t = g.add(
-          TaskKind::kShmOut, Lane::kShm,
-          [region, grank, i, recv] {
-            return shm::copy_out_published(region, grank,
-                                      static_cast<std::size_t>(i), recv);
-          },
-          TaskOpts{"out", "phase3", i, 0, -1});
-      g.depend_external(t);
-      outs.push_back(t);
-    }
-    region->add_publish_listener([&exec, outs](std::size_t idx) {
-      if (idx < outs.size()) exec.satisfy(outs[idx]);
+    const int t = g.add_stream(
+        TaskKind::kShmOut, Lane::kShm, nodes - 1,
+        [region, grank, recv](int i) {
+          return shm::copy_out_published(region, grank,
+                                         static_cast<std::size_t>(i), recv);
+        },
+        TaskOpts{"out", "phase3", -1, 0, -1});
+    region->add_publish_listener([&exec, t, nodes](std::size_t idx) {
+      if (idx + 1 < static_cast<std::size_t>(nodes)) exec.satisfy(t);
     });
   }
   co_await exec.run(g);

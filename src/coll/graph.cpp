@@ -26,12 +26,35 @@ const char* task_kind_name(TaskKind k) {
 
 int TaskGraph::add(TaskKind kind, Lane lane, Body body, TaskOpts opts) {
   if (!body) throw std::invalid_argument("TaskGraph::add: empty body");
-  nodes_.push_back(Node{std::move(body), kind, lane, std::move(opts), 0, {}});
+  nodes_.push_back(
+      Node{std::move(body), kind, lane, std::move(opts), 0, -1, {}});
   return static_cast<int>(nodes_.size()) - 1;
 }
 
+int TaskGraph::add_stream(TaskKind kind, Lane lane, int count,
+                          StreamBody body, TaskOpts opts) {
+  if (!body) throw std::invalid_argument("TaskGraph::add_stream: empty body");
+  if (count < 1) {
+    throw std::invalid_argument("TaskGraph::add_stream: count must be >= 1");
+  }
+  streams_.push_back(Stream{std::move(body), count});
+  nodes_.push_back(Node{{}, kind, lane, std::move(opts), count,
+                        static_cast<int>(streams_.size()) - 1, {}});
+  externals_ += count;
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+TaskGraph::Node& TaskGraph::plain_node(int task, const char* what) {
+  auto& n = nodes_.at(static_cast<std::size_t>(task));
+  if (n.stream >= 0) {
+    throw std::invalid_argument(std::string(what) +
+                                ": a stream node takes no dependencies");
+  }
+  return n;
+}
+
 void TaskGraph::depend(int task, int on) {
-  auto& t = nodes_.at(static_cast<std::size_t>(task));
+  auto& t = plain_node(task, "TaskGraph::depend");
   auto& p = nodes_.at(static_cast<std::size_t>(on));
   if (task == on) throw std::invalid_argument("TaskGraph::depend: self edge");
   p.out.push_back(task);
@@ -39,7 +62,7 @@ void TaskGraph::depend(int task, int on) {
 }
 
 void TaskGraph::depend_external(int task) {
-  ++nodes_.at(static_cast<std::size_t>(task)).deps;
+  ++plain_node(task, "TaskGraph::depend_external").deps;
   ++externals_;
 }
 
@@ -79,7 +102,15 @@ void GraphExecutor::satisfy(int task) {
     throw std::logic_error("GraphExecutor::satisfy: task already ready");
   }
   --ext_pending_;
-  if (--n.deps == 0) ready_.push_back(task);
+  if (n.stream >= 0) {
+    // Every release queues the next instance: deps counts the releases
+    // still to come, so count - deps were released before this one.
+    const int count = g_->streams_[static_cast<std::size_t>(n.stream)].count;
+    ready_.emplace_back(task, count - n.deps);
+    --n.deps;
+  } else if (--n.deps == 0) {
+    ready_.emplace_back(task, 0);
+  }
   cv_.notify_all();
 }
 
@@ -90,9 +121,15 @@ void GraphExecutor::on_complete(int id) {
     auto& ps = phases_[static_cast<std::size_t>(pidx)];
     if (--ps.remaining == 0 && ps.open) ps.span.close(eng_->now());
   }
-  for (const int s : n.out) {
-    if (--g_->nodes_[static_cast<std::size_t>(s)].deps == 0) {
-      ready_.push_back(s);
+  // A stream releases its successors after its last instance.
+  bool last = true;
+  if (n.stream >= 0) {
+    auto& st = g_->streams_[static_cast<std::size_t>(n.stream)];
+    last = ++st.done == st.count;
+  }
+  for (std::size_t i = 0; last && i < n.out.size(); ++i) {
+    if (--g_->nodes_[static_cast<std::size_t>(n.out[i])].deps == 0) {
+      ready_.emplace_back(n.out[i], 0);
     }
   }
   --in_flight_;
@@ -100,8 +137,11 @@ void GraphExecutor::on_complete(int id) {
   cv_.notify_all();
 }
 
-sim::Task<void> GraphExecutor::run_one(int id) {
+sim::Task<void> GraphExecutor::run_one(int id, int instance) {
   auto& n = g_->nodes_[static_cast<std::size_t>(id)];
+  TaskGraph::Stream* stream =
+      n.stream >= 0 ? &g_->streams_[static_cast<std::size_t>(n.stream)]
+                    : nullptr;
   sim::Semaphore* lane = lane_sem(n.lane);
   if (lane != nullptr) co_await lane->acquire();
 
@@ -126,9 +166,10 @@ sim::Task<void> GraphExecutor::run_one(int id) {
       label += ':';
       label += n.opts.label;
     }
-    if (n.opts.chunk >= 0) {
+    const int chunk = stream != nullptr ? instance : n.opts.chunk;
+    if (chunk >= 0) {
       label += "#c";
-      label += std::to_string(n.opts.chunk);
+      label += std::to_string(chunk);
     }
   }
   auto span = sink_->open(grank_, trace::Kind::kTask, eng_->now(), n.opts.peer,
@@ -140,7 +181,11 @@ sim::Task<void> GraphExecutor::run_one(int id) {
       if (opts_.fail_injector && opts_.fail_injector(id, attempt)) {
         throw sim::SimError("injected task fault");
       }
-      co_await n.body();
+      if (stream != nullptr) {
+        co_await stream->body(instance);
+      } else {
+        co_await n.body();
+      }
       break;
     } catch (const sim::SimError&) {
       // Macro tasks hold an SPMD rendezvous: re-running one on a single
@@ -183,12 +228,18 @@ sim::Task<void> GraphExecutor::run(TaskGraph& g) {
   ready_.clear();
   phases_.clear();
 
-  const std::size_t total = g.nodes_.size();
+  // Every stream instance is one task to run and complete.
+  std::size_t total = 0;
   ext_pending_ = g.externals_;
-  phase_idx_.assign(total, -1);
-  for (std::size_t i = 0; i < total; ++i) {
-    if (g.nodes_[i].deps == 0) ready_.push_back(static_cast<int>(i));
-    const std::string& phase = g.nodes_[i].opts.phase;
+  phase_idx_.assign(g.nodes_.size(), -1);
+  for (std::size_t i = 0; i < g.nodes_.size(); ++i) {
+    const auto& n = g.nodes_[i];
+    const int tasks =
+        n.stream >= 0 ? g.streams_[static_cast<std::size_t>(n.stream)].count
+                      : 1;
+    total += static_cast<std::size_t>(tasks);
+    if (n.deps == 0) ready_.emplace_back(static_cast<int>(i), 0);
+    const std::string& phase = n.opts.phase;
     if (phase.empty()) continue;
     int pidx = -1;
     for (std::size_t p = 0; p < phases_.size(); ++p) {
@@ -203,7 +254,7 @@ sim::Task<void> GraphExecutor::run(TaskGraph& g) {
       phases_.back().name = phase;
     }
     phase_idx_[i] = pidx;
-    ++phases_[static_cast<std::size_t>(pidx)].remaining;
+    phases_[static_cast<std::size_t>(pidx)].remaining += tasks;
   }
   for (const int t : early_satisfies_) satisfy(t);
   early_satisfies_.clear();
@@ -211,10 +262,10 @@ sim::Task<void> GraphExecutor::run(TaskGraph& g) {
   std::size_t launched = 0;
   while (completed_ < total && !error_) {
     if (!ready_.empty()) {
-      const int id = ready_.front();
+      const auto [id, instance] = ready_.front();
       ready_.pop_front();
       ++launched;
-      eng_->spawn(run_one(id));
+      eng_->spawn(run_one(id, instance));
       continue;
     }
     if (launched == completed_ && ext_pending_ == 0) {

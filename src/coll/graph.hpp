@@ -12,9 +12,17 @@
 // boundaries dissolve into data dependencies, so phase-1 tails, inter-node
 // steps and shm distribution stream against each other chunk by chunk.
 //
-// Execution is deterministic: the ready queue is FIFO over task creation
-// order, lanes are engine-owned semaphores with FIFO wakeups, and all
-// scheduling flows through the (time, sequence)-ordered event queue.
+// A *stream node* stands for `count` instances of one task that are
+// released one at a time by external completions, like a phase-3 member
+// draining the leader's publications in order: one node and one closure,
+// however many publications. Each release queues the next instance on the
+// same FIFO ready queue, and each instance runs, is admitted, spans and
+// retries exactly like a plain task would; successors wait for the last.
+//
+// Execution is deterministic: the ready queue is FIFO over release order
+// (task creation order for tasks ready at the start), lanes are
+// engine-owned semaphores with FIFO wakeups, and all scheduling flows
+// through the (time, sequence)-ordered event queue.
 //
 // Failed tasks (a `sim::SimError` from the body, e.g. zero healthy rails
 // during a transient window) are re-enqueued with a bounded backoff so the
@@ -81,37 +89,60 @@ struct TaskOpts {
   int peer = -1;  ///< peer global rank for the span, -1 = n/a
 };
 
-/// Dependency graph of chunk tasks. Build with `add` + `depend`, then hand
-/// to a `GraphExecutor`. The graph is single-use.
+/// Dependency graph of chunk tasks. Build with `add` / `add_stream` +
+/// `depend`, then hand to a `GraphExecutor`. The graph is single-use.
 class TaskGraph {
  public:
   using Body = std::function<sim::Task<void>()>;
+  /// Body of a stream node; instance `i` runs `body(i)`.
+  using StreamBody = std::function<sim::Task<void>(int)>;
 
   /// Add a task; returns its id (creation order = FIFO priority).
   int add(TaskKind kind, Lane lane, Body body, TaskOpts opts = {});
 
-  /// `task` runs only after `on` completed.
+  /// Add a stream node: `count` (>= 1) instances of one task, released in
+  /// order by `count` external completions (`GraphExecutor::satisfy` on
+  /// the returned id; the i-th call queues instance i). Each instance runs
+  /// as its own task: lane admission, retry, phase accounting and one
+  /// span, chunk-tagged `#c<i>` (`opts.chunk` is ignored). A stream takes
+  /// no other dependencies; its successors run after its last instance.
+  int add_stream(TaskKind kind, Lane lane, int count, StreamBody body,
+                 TaskOpts opts = {});
+
+  /// `task` runs only after `on` completed. `task` may not be a stream.
   void depend(int task, int on);
 
   /// Register an external dependency (satisfied via
   /// `GraphExecutor::satisfy`, e.g. from a recv-completion or shm-publish
-  /// callback). Returns nothing; each call adds one count.
+  /// callback). Returns nothing; each call adds one count. `task` may not
+  /// be a stream (its releases are fixed by its count).
   void depend_external(int task);
 
+  /// Nodes in the graph; a stream node counts once.
   std::size_t size() const noexcept { return nodes_.size(); }
   bool empty() const noexcept { return nodes_.empty(); }
 
  private:
   friend class GraphExecutor;
   struct Node {
-    Body body;
+    Body body;  ///< empty on stream nodes
     TaskKind kind;
     Lane lane;
     TaskOpts opts;
-    int deps = 0;  ///< remaining predecessors (internal + external)
+    int deps = 0;     ///< remaining predecessors (internal + external)
+    int stream = -1;  ///< index into `streams_`, -1 = plain task
     std::vector<int> out;
   };
+  // Instance state lives here, so plain nodes stay their usual size.
+  struct Stream {
+    StreamBody body;
+    int count;
+    int done = 0;  ///< instances completed
+  };
+  Node& plain_node(int task, const char* what);
+
   std::vector<Node> nodes_;
+  std::vector<Stream> streams_;
   int externals_ = 0;
 };
 
@@ -142,6 +173,9 @@ inline constexpr sim::Duration kTaskRetryBackoff = 2e-6;
 struct ExecOptions {
   /// Test hook: return true to fail the task's next attempt before the
   /// body runs (the executor treats it as a transient fault and retries).
+  /// Every instance of a stream node calls it with the stream's id, and
+  /// `attempt` counts per instance; instances start in release order, so
+  /// an injector singles one out by counting its attempt-0 calls.
   std::function<bool(int task, int attempt)> fail_injector;
 };
 
@@ -160,8 +194,10 @@ class GraphExecutor {
   sim::Task<void> run(TaskGraph& g);
 
   /// Resolve one external dependency of `task` (see
-  /// `TaskGraph::depend_external`). Safe to call before `run` starts and
-  /// while it is in flight; calling it more times than registered throws.
+  /// `TaskGraph::depend_external`), or release the next instance of a
+  /// stream node. Safe to call before `run` starts (buffered until the
+  /// graph attaches) and while it is in flight; calling it more times than
+  /// registered throws `std::logic_error`.
   void satisfy(int task);
 
   /// Peak number of concurrently running tasks during the last `run`.
@@ -170,7 +206,7 @@ class GraphExecutor {
   std::uint64_t retries() const noexcept { return retries_; }
 
  private:
-  sim::Task<void> run_one(int id);
+  sim::Task<void> run_one(int id, int instance);
   sim::Semaphore* lane_sem(Lane lane);
   void on_complete(int id);
 
@@ -181,7 +217,7 @@ class GraphExecutor {
 
   TaskGraph* g_ = nullptr;
   sim::Condition cv_;
-  std::deque<int> ready_;
+  std::deque<std::pair<int, int>> ready_;  ///< (task, stream instance)
   std::size_t completed_ = 0;
   int in_flight_ = 0;
   int max_in_flight_ = 0;

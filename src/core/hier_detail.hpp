@@ -66,9 +66,10 @@ inline bool ring_chunk_tags_fit(int nodes) {
 /// wait on the phase-1 producers of their bytes in `prod`, later sends
 /// forward the chunk received one step earlier, and every landed chunk is
 /// published into `region` (nullptr on one-rank nodes). Members emit one
-/// drain task per publication slot. `fence` is barrier mode: one chunk
-/// per block and a phase-3 fence. Rings too long for the (step, chunk)
-/// tag encoding also move whole blocks, tagged by step.
+/// drain stream node with an instance per publication slot. `fence` is
+/// barrier mode: one chunk per block and a phase-3 fence. Rings too long
+/// for the (step, chunk) tag encoding also move whole blocks, tagged by
+/// step.
 void build_leader_ring(coll::TaskGraph& g, coll::GraphExecutor& exec,
                        mpi::Comm& comm, int my, hw::BufView recv,
                        const std::vector<std::size_t>& block_off,

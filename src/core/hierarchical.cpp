@@ -177,26 +177,21 @@ sim::Task<void> publish_chunk(const std::shared_ptr<shm::ShmRegion>& region,
                      : publish_marker(region, off);
 }
 
-// Phase-3 drain of a non-leader rank: one task per publication slot of
-// `region`, released by its publish listener as the leader's copies land.
+// Phase-3 drain of a non-leader rank: one stream node over the
+// publication slots of `region`, whose publish listener releases slot i as
+// the leader's i-th copy lands.
 void add_member_drains(coll::TaskGraph& g, coll::GraphExecutor& exec,
                        const std::shared_ptr<shm::ShmRegion>& region,
                        int grank, hw::BufView recv, int publishes) {
-  std::vector<int> outs;
-  outs.reserve(static_cast<std::size_t>(publishes));
-  for (int i = 0; i < publishes; ++i) {
-    const int t = g.add(
-        coll::TaskKind::kShmOut, coll::Lane::kShm,
-        [region, grank, i, recv] {
-          return shm::copy_out_published(region, grank,
-                                         static_cast<std::size_t>(i), recv);
-        },
-        coll::TaskOpts{"p3 out", "phase3", i, 0, -1});
-    g.depend_external(t);
-    outs.push_back(t);
-  }
-  region->add_publish_listener([&exec, outs](std::size_t idx) {
-    if (idx < outs.size()) exec.satisfy(outs[idx]);
+  const int t = g.add_stream(
+      coll::TaskKind::kShmOut, coll::Lane::kShm, publishes,
+      [region, grank, recv](int i) {
+        return shm::copy_out_published(region, grank,
+                                       static_cast<std::size_t>(i), recv);
+      },
+      coll::TaskOpts{"p3 out", "phase3", -1, 0, -1});
+  region->add_publish_listener([&exec, t, publishes](std::size_t idx) {
+    if (idx < static_cast<std::size_t>(publishes)) exec.satisfy(t);
   });
 }
 

@@ -12,6 +12,7 @@ namespace {
 struct Parser {
   std::string_view s;
   std::size_t i = 0;
+  int depth = 0;  ///< arrays/objects currently open
 
   [[noreturn]] void fail(const std::string& what) const {
     throw JsonError("json: " + what + " at offset " + std::to_string(i));
@@ -85,43 +86,58 @@ struct Parser {
   }
 
   Json parse_value() {
+    const char c = peek();
+    if (c != '{' && c != '[') return parse_scalar();
+    if (depth == kMaxJsonDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+           " levels");
+    }
+    ++depth;
+    Json v = c == '{' ? parse_object() : parse_array();
+    --depth;
+    return v;
+  }
+
+  Json parse_object() {
+    ++i;
+    Json::Object obj;
+    if (peek() == '}') {
+      ++i;
+      return Json::make_object(std::move(obj));
+    }
+    for (;;) {
+      std::string key = parse_string();
+      expect(':');
+      obj.emplace_back(std::move(key), parse_value());
+      if (peek() == ',') {
+        ++i;
+        continue;
+      }
+      expect('}');
+      return Json::make_object(std::move(obj));
+    }
+  }
+
+  Json parse_array() {
+    ++i;
+    Json::Array arr;
+    if (peek() == ']') {
+      ++i;
+      return Json::make_array(std::move(arr));
+    }
+    for (;;) {
+      arr.push_back(parse_value());
+      if (peek() == ',') {
+        ++i;
+        continue;
+      }
+      expect(']');
+      return Json::make_array(std::move(arr));
+    }
+  }
+
+  Json parse_scalar() {
     switch (peek()) {
-      case '{': {
-        ++i;
-        Json::Object obj;
-        if (peek() == '}') {
-          ++i;
-          return Json::make_object(std::move(obj));
-        }
-        for (;;) {
-          std::string key = parse_string();
-          expect(':');
-          obj.emplace_back(std::move(key), parse_value());
-          if (peek() == ',') {
-            ++i;
-            continue;
-          }
-          expect('}');
-          return Json::make_object(std::move(obj));
-        }
-      }
-      case '[': {
-        ++i;
-        Json::Array arr;
-        if (peek() == ']') {
-          ++i;
-          return Json::make_array(std::move(arr));
-        }
-        for (;;) {
-          arr.push_back(parse_value());
-          if (peek() == ',') {
-            ++i;
-            continue;
-          }
-          expect(']');
-          return Json::make_array(std::move(arr));
-        }
-      }
       case '"':
         return Json::make_string(parse_string());
       case 't':

@@ -26,13 +26,20 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting `Json::parse` accepts. The parser recurses
+/// once per level, so a deeper document is refused with a JsonError (at the
+/// byte offset of the first bracket past the cap) instead of exhausting the
+/// stack.
+inline constexpr int kMaxJsonDepth = 512;
+
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   using Array = std::vector<Json>;
   using Object = std::vector<std::pair<std::string, Json>>;
 
-  /// Parse one complete JSON document; trailing non-whitespace is an error.
+  /// Parse one complete JSON document; trailing non-whitespace and nesting
+  /// deeper than kMaxJsonDepth are errors.
   static Json parse(std::string_view text);
 
   Type type() const noexcept { return type_; }

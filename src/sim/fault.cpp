@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <sstream>
+#include <vector>
 
 namespace hmca::sim {
 
@@ -69,12 +71,62 @@ Fields parse_fields(const std::vector<std::string>& parts,
   return f;
 }
 
+// Levenshtein distance, for did-you-mean hints on unknown keys.
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+// Each kind reads a closed key set: a misspelt key must be refused, not
+// silently left at its default (`hcaa=0` would otherwise mean every HCA).
+void check_keys(const std::string& kind, const Fields& f,
+                std::initializer_list<const char*> allowed,
+                const std::string& where) {
+  for (const auto& [key, value] : f) {
+    const auto known = [&key](const char* a) { return key == a; };
+    if (std::any_of(allowed.begin(), allowed.end(), known)) continue;
+    std::string list, hint;
+    std::size_t best = 3;  // suggest only keys within two edits
+    for (const char* a : allowed) {
+      list += list.empty() ? a : std::string(", ") + a;
+      const std::size_t d = edit_distance(key, a);
+      if (d < best) {
+        best = d;
+        hint = a;
+      }
+    }
+    throw FaultPlanError("fault plan: unknown key '" + key + "' for kind '" +
+                         kind + "' in '" + where + "' (allowed: " + list +
+                         ")" +
+                         (hint.empty() ? "" : "; did you mean '" + hint + "'?"));
+  }
+}
+
 void build_entry(FaultPlan& plan, const std::string& kind, const Fields& f,
                  const std::string& where) {
   auto get = [&](const char* key, const char* fallback) -> std::string {
     auto it = f.find(key);
     return it != f.end() ? it->second : std::string(fallback);
   };
+  if (kind == "kill") {
+    check_keys(kind, f, {"node", "hca", "t"}, where);
+  } else if (kind == "degrade") {
+    check_keys(kind, f, {"node", "hca", "t", "bw", "lat"}, where);
+  } else if (kind == "flaky" || kind == "transient") {
+    check_keys(kind, f, {"rate", "burst", "backoff", "backoff_max", "seed"},
+               where);
+  }
   if (kind == "kill" || kind == "degrade") {
     FaultEvent e;
     e.kind = kind == "kill" ? FaultKind::kKill : FaultKind::kDegrade;

@@ -1,9 +1,11 @@
 // The chunk-granular dataflow engine (coll/graph.hpp): dependency order,
-// FIFO determinism, lane admission, external completions, fault retry and
-// the chunk policy. `ctest -L dataflow` runs this suite.
+// FIFO determinism, lane admission, external completions, stream nodes,
+// fault retry and the chunk policy. `ctest -L dataflow` runs this suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,12 @@ sim::Task<void> drive_expecting_error(GraphExecutor& exec, TaskGraph& g,
 TaskGraph::Body body(sim::Engine& eng, std::vector<int>& order, int id,
                      sim::Duration d = kTick) {
   return [&eng, &order, id, d] { return log_after(eng, order, id, d); };
+}
+
+sim::Task<void> satisfy_at(sim::Engine& eng, GraphExecutor& exec, int task,
+                           sim::Duration when) {
+  co_await eng.sleep(when);
+  exec.satisfy(task);
 }
 
 TEST(TaskGraph, DependencyEdgesOrderExecution) {
@@ -93,16 +101,8 @@ TEST(GraphExecutor, ExternalDependencySatisfiedMidRun) {
   const int t = g.add(TaskKind::kRecv, Lane::kNone, body(eng, order, 7, 0));
   g.depend_external(t);
   GraphExecutor exec(eng, obs::null_sink(), 0);
-
-  struct Satisfier {
-    static sim::Task<void> at(sim::Engine& eng, GraphExecutor& exec, int task,
-                              sim::Duration when) {
-      co_await eng.sleep(when);
-      exec.satisfy(task);
-    }
-  };
   eng.spawn(drive(exec, g));
-  eng.spawn(Satisfier::at(eng, exec, t, 5 * kTick));
+  eng.spawn(satisfy_at(eng, exec, t, 5 * kTick));
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{7}));
   EXPECT_GE(eng.now(), 5 * kTick);  // ran only after the completion arrived
@@ -315,6 +315,227 @@ TEST(GraphExecutor, IdenticalGraphsRunDeterministically) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// ---- Stream nodes ----
+
+TaskGraph::StreamBody stream_body(sim::Engine& eng, std::vector<int>& order,
+                                  int base, sim::Duration d = kTick) {
+  return [&eng, &order, base, d](int i) {
+    return log_after(eng, order, base + i, d);
+  };
+}
+
+TEST(StreamNode, InstancesRunInReleaseOrder) {
+  // Releases arrive 1 tick apart and each instance takes 3 ticks on the
+  // one-slot shm lane: instances queue FIFO and run back to back, in the
+  // order they were released.
+  sim::Engine eng;
+  std::vector<int> order;
+  TaskGraph g;
+  const int s =
+      g.add_stream(TaskKind::kShmOut, Lane::kShm, 4,
+                   stream_body(eng, order, 100, 3 * kTick));
+  EXPECT_EQ(g.size(), 1u);
+  GraphExecutor exec(eng, obs::null_sink(), 0);
+  eng.spawn(drive(exec, g));
+  for (int i = 0; i < 4; ++i) {
+    eng.spawn(satisfy_at(eng, exec, s, (i + 1) * kTick));
+  }
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{100, 101, 102, 103}));
+  EXPECT_EQ(exec.pipeline_depth(), 1);
+  EXPECT_DOUBLE_EQ(eng.now(), 13 * kTick);
+}
+
+TEST(StreamNode, InterleavesWithPlainShmTasksInFifoOrder) {
+  // Plain kShm tasks that become ready between two releases take the lane
+  // in between the stream's instances, exactly where one plain task per
+  // release would have queued: both graphs run the same order and time.
+  const auto run = [](bool as_stream) {
+    sim::Engine eng;
+    std::vector<int> order;
+    TaskGraph g;
+    const int gate =
+        g.add(TaskKind::kRecv, Lane::kNone, [] { return noop_task(); });
+    g.depend_external(gate);
+    std::vector<int> releases;  // task satisfied by the i-th release
+    if (as_stream) {
+      const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 3,
+                                 stream_body(eng, order, 10));
+      releases.assign(3, s);
+    } else {
+      for (int i = 0; i < 3; ++i) {
+        const int t =
+            g.add(TaskKind::kShmOut, Lane::kShm, body(eng, order, 10 + i));
+        g.depend_external(t);
+        releases.push_back(t);
+      }
+    }
+    const int in1 = g.add(TaskKind::kShmIn, Lane::kShm, body(eng, order, 1));
+    const int in2 = g.add(TaskKind::kShmIn, Lane::kShm, body(eng, order, 2));
+    g.depend(in1, gate);
+    g.depend(in2, gate);
+    GraphExecutor exec(eng, obs::null_sink(), 0);
+    eng.spawn(drive(exec, g));
+    // t = 1: release 0; t = 1.5: the gate opens both publishes; t = 2 and
+    // 3: releases 1 and 2 queue on the lane behind them.
+    eng.spawn(satisfy_at(eng, exec, releases[0], kTick));
+    eng.spawn(satisfy_at(eng, exec, gate, 1.5 * kTick));
+    eng.spawn(satisfy_at(eng, exec, releases[1], 2 * kTick));
+    eng.spawn(satisfy_at(eng, exec, releases[2], 3 * kTick));
+    eng.run();
+    return std::make_pair(order, eng.now());
+  };
+  const auto stream = run(true);
+  EXPECT_EQ(stream.first, (std::vector<int>{10, 1, 2, 11, 12}));
+  EXPECT_DOUBLE_EQ(stream.second, 6 * kTick);
+  EXPECT_EQ(stream, run(false));
+}
+
+TEST(StreamNode, SpansCarryTheInstanceAsChunkTag) {
+  sim::Engine eng;
+  trace::Tracer tracer;
+  obs::CollectSink sink(&tracer);
+  std::vector<int> order;
+  TaskGraph g;
+  const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 3,
+                             stream_body(eng, order, 0),
+                             TaskOpts{"p3 out", "phase3", 7, 0, -1});
+  GraphExecutor exec(eng, sink, 0);
+  for (int i = 0; i < 3; ++i) exec.satisfy(s);
+  eng.spawn(drive(exec, g));
+  eng.run();
+  std::vector<std::string> labels;
+  int phase_spans = 0;
+  for (const auto& sp : tracer.spans()) {
+    if (sp.kind == trace::Kind::kTask) labels.push_back(sp.label);
+    if (sp.kind == trace::Kind::kPhase && sp.label == "phase3") ++phase_spans;
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"task:shm_out:p3 out#c0",
+                                              "task:shm_out:p3 out#c1",
+                                              "task:shm_out:p3 out#c2"}));
+  EXPECT_EQ(phase_spans, 1);  // one phase span over all three instances
+}
+
+TEST(StreamNode, EarlySatisfyBeforeRunIsBuffered) {
+  sim::Engine eng;
+  std::vector<int> order;
+  TaskGraph g;
+  const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 3,
+                             stream_body(eng, order, 0));
+  GraphExecutor exec(eng, obs::null_sink(), 0);
+  exec.satisfy(s);  // before run() starts
+  exec.satisfy(s);
+  eng.spawn(drive(exec, g));
+  eng.spawn(satisfy_at(eng, exec, s, 5 * kTick));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(eng.now(), 6 * kTick);  // the last waited for its release
+}
+
+TEST(StreamNode, OneSatisfyTooManyThrows) {
+  sim::Engine eng;
+  std::vector<int> order;
+  TaskGraph g;
+  const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 2,
+                             stream_body(eng, order, 0));
+  GraphExecutor exec(eng, obs::null_sink(), 0);
+  bool threw = false;
+  struct Overflow {
+    static sim::Task<void> at(sim::Engine& eng, GraphExecutor& exec, int s,
+                              bool& threw) {
+      co_await eng.sleep(kTick);
+      exec.satisfy(s);
+      exec.satisfy(s);
+      try {
+        exec.satisfy(s);
+      } catch (const std::logic_error&) {
+        threw = true;
+      }
+    }
+  };
+  eng.spawn(drive(exec, g));
+  eng.spawn(Overflow::at(eng, exec, s, threw));
+  eng.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(StreamNode, SuccessorWaitsForTheLastInstance) {
+  sim::Engine eng;
+  std::vector<int> order;
+  TaskGraph g;
+  const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 3,
+                             stream_body(eng, order, 0));
+  const int after = g.add(TaskKind::kCopy, Lane::kCpu, body(eng, order, 9));
+  g.depend(after, s);
+  GraphExecutor exec(eng, obs::null_sink(), 0);
+  for (int i = 0; i < 3; ++i) {
+    eng.spawn(satisfy_at(eng, exec, s, (4 * i + 1) * kTick));
+  }
+  eng.spawn(drive(exec, g));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+  EXPECT_DOUBLE_EQ(eng.now(), 11 * kTick);  // last instance 9..10, then 10..11
+}
+
+TEST(StreamNode, MalformedStreamsRejected) {
+  TaskGraph g;
+  const auto noop = [](int) { return noop_task(); };
+  EXPECT_THROW(g.add_stream(TaskKind::kShmOut, Lane::kShm, 0, noop),
+               std::invalid_argument);
+  EXPECT_THROW(g.add_stream(TaskKind::kShmOut, Lane::kShm, 2, nullptr),
+               std::invalid_argument);
+  const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 2, noop);
+  const int a = g.add(TaskKind::kCopy, Lane::kNone, [] { return noop_task(); });
+  EXPECT_THROW(g.depend(s, a), std::invalid_argument);
+  EXPECT_THROW(g.depend_external(s), std::invalid_argument);
+  EXPECT_NO_THROW(g.depend(a, s));
+}
+
+TEST(StreamNode, OneInstanceRetriesAlone) {
+  // The injector sees the stream's id for every instance and counts
+  // attempts per instance: failing the first attempt of the second
+  // instance started retries that instance only, once, after the backoff,
+  // and it still completes before the third (FIFO on the lane).
+  sim::Engine eng;
+  trace::Tracer tracer;
+  obs::Metrics metrics;
+  obs::CollectSink sink(&tracer, &metrics);
+  std::vector<int> order;
+  TaskGraph g;
+  const int s = g.add_stream(TaskKind::kShmOut, Lane::kShm, 3,
+                             stream_body(eng, order, 0),
+                             TaskOpts{"out", "phase3", -1, 0, -1});
+  std::vector<std::pair<int, int>> calls;
+  int starts = 0;
+  ExecOptions opts;
+  opts.fail_injector = [&calls, &starts](int task, int attempt) {
+    calls.emplace_back(task, attempt);
+    if (attempt == 0) ++starts;
+    return attempt == 0 && starts == 2;
+  };
+  GraphExecutor exec(eng, sink, 0, opts);
+  for (int i = 0; i < 3; ++i) exec.satisfy(s);
+  eng.spawn(drive(exec, g));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(exec.retries(), 1u);
+  EXPECT_EQ(metrics.counter_value("coll.task_retries"), 1.0);
+  EXPECT_EQ(calls, (std::vector<std::pair<int, int>>{
+                       {s, 0}, {s, 0}, {s, 1}, {s, 0}}));
+  // The retried instance keeps its one span, stretched by the backoff.
+  int task_spans = 0;
+  for (const auto& sp : tracer.spans()) {
+    if (sp.kind != trace::Kind::kTask) continue;
+    ++task_spans;
+    if (sp.label == "task:shm_out:out#c1") {
+      EXPECT_DOUBLE_EQ(sp.t1 - sp.t0, kTaskRetryBackoff + kTick);
+    }
+  }
+  EXPECT_EQ(task_spans, 3);
+  EXPECT_DOUBLE_EQ(eng.now(), 3 * kTick + kTaskRetryBackoff);
 }
 
 // ---- RangeProducers ----

@@ -8,12 +8,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "coll/allgather.hpp"
 #include "coll/graph.hpp"
 #include "core/hierarchical.hpp"
 #include "hw/spec.hpp"
@@ -173,6 +177,63 @@ TEST(Pipeline, BarrierModeFencesPublishesBehindTheLastRecv) {
     EXPECT_FALSE(publishes_fenced(run(true), leaders)) << name;
     EXPECT_EQ(leaders, 4) << name;
   }
+}
+
+// ---- Phase-3 drain order: one member's span stream, pinned ----
+
+// Every span of global rank `rank` as "kind label t0 t1", one per line, in
+// recording order, with times printed to round-trip exactly.
+std::string span_stream(const std::vector<trace::Span>& spans, int rank) {
+  std::string out;
+  char buf[64];
+  for (const auto& s : spans) {
+    if (s.rank != rank) continue;
+    out += trace::kind_name(s.kind);
+    out += ' ';
+    out += s.label;
+    std::snprintf(buf, sizeof buf, " %.17g %.17g\n", s.t0, s.t1);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(Pipeline, MemberSpanStreamsMatchPinnedOrder) {
+  // A member's phase-3 drains queue on its one-slot shm lane as the
+  // leader's publications release them, so when each drain is released and
+  // admitted is visible in its span stream: every label, start and end.
+  // This pins the stream of member rank 5 (node 1) at 4 nodes x 4 ppn and
+  // 256 KiB, where the 1 MiB node blocks split into 16 chunks, for the
+  // chunked Ring and RD phase 2 and for node-aware Bruck. A change that
+  // moves any drain's release, admission or timing shows up as a differing
+  // line.
+  constexpr int kMember = 5;
+  const auto hier = [](Phase2Algo algo) -> coll::AllgatherFn {
+    HierOptions o;
+    o.phase2 = algo;
+    return [o](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+               std::size_t m, bool ip) {
+      return allgather_hierarchical(c, r, s, rv, m, ip, o);
+    };
+  };
+  const std::vector<std::pair<std::string, coll::AllgatherFn>> cases = {
+      {"hier ring", hier(Phase2Algo::kRing)},
+      {"hier rd", hier(Phase2Algo::kRD)},
+      {"node_aware_bruck", coll::allgather_node_aware_bruck},
+  };
+  std::string actual;
+  for (const auto& [name, fn] : cases) {
+    trace::Tracer tracer;
+    osu::measure_allgather(hw::ClusterSpec::thor(4, 4), fn, 256 * 1024,
+                           &tracer);
+    actual += "# " + name + '\n';
+    actual += span_stream(tracer.spans(), kMember);
+  }
+  std::ifstream in(std::string(HMCA_TEST_SRCDIR) +
+                   "/core/golden/member_spans.txt");
+  ASSERT_TRUE(in) << "missing golden file";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str());
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // reconstruction, transcript recovery, and the end-to-end diff_artifacts
 // path including the cross-family note and world-mismatch flag.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -77,6 +79,26 @@ std::string write_temp(const std::string& name, const std::string& text) {
   std::ofstream out(path);
   out << text;
   return path;
+}
+
+TEST(DiffIo, HmcaDiffRefusesDeeplyNestedInputWithExitTwo) {
+  // 100k nested '[' once overflowed the parser's stack (exit 139); the
+  // depth cap turns it into a load error, which hmca-diff reports as 2.
+  const std::string deep = write_temp("diff_io_deep.json",
+                                      std::string(100000, '['));
+  const std::string good = write_temp("diff_io_good.json", kBenchDoc);
+  const std::string log = ::testing::TempDir() + "diff_io_deep.log";
+  const std::string cmd = std::string(HMCA_DIFF_BIN) + " " + good + " " +
+                          deep + " > " + log + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "hmca-diff died: status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream in(log);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("nesting deeper than 512 levels at offset 512"),
+            std::string::npos)
+      << text.str();
 }
 
 TEST(DiffIo, SniffsAllThreeFamilies) {

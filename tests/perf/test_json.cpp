@@ -30,6 +30,30 @@ TEST(PerfJson, RejectsUnicodeEscapes) {
   EXPECT_THROW(Json::parse("\"\\u0041\""), JsonError);
 }
 
+TEST(PerfJson, RefusesNestingPastTheDepthCap) {
+  // Nesting exactly at the cap parses; one level deeper is refused with
+  // the offset of the first bracket past the cap. 100k levels used to
+  // overflow the stack.
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_TRUE(Json::parse(nested(kMaxJsonDepth, '[', ']')).is_array());
+  for (const std::string& doc :
+       {nested(kMaxJsonDepth + 1, '[', ']'), std::string(100000, '[')}) {
+    try {
+      Json::parse(doc);
+      ADD_FAILURE() << "accepted " << doc.size() << " bytes of nesting";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "json: nesting deeper than 512 levels at offset 512");
+    }
+  }
+  std::string objects;
+  for (int d = 0; d <= kMaxJsonDepth; ++d) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), JsonError);
+}
+
 TEST(PerfJson, ParsesArraysAndObjects) {
   const Json v = Json::parse(R"({"a": [1, 2, 3], "b": {"c": "d"}})");
   ASSERT_TRUE(v.is_object());

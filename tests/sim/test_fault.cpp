@@ -88,6 +88,46 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("[{\"kind\":\"kill\""), FaultPlanError);
 }
 
+TEST(FaultPlan, RefusesUnknownKeysPerKind) {
+  // A misspelt key used to be dropped, leaving its default: `hcaa=0` read
+  // as hca=* and killed every rail of node 0.
+  const auto message = [](const std::string& spec) -> std::string {
+    try {
+      FaultPlan::parse(spec);
+    } catch (const FaultPlanError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string typo = message("kill:node=0,hcaa=0");
+  EXPECT_NE(typo.find("unknown key 'hcaa' for kind 'kill'"), std::string::npos)
+      << typo;
+  EXPECT_NE(typo.find("(allowed: node, hca, t)"), std::string::npos) << typo;
+  EXPECT_NE(typo.find("did you mean 'hca'?"), std::string::npos) << typo;
+
+  // The JSON form goes through the same check.
+  const std::string json =
+      message(R"([{"kind":"degrade","node":0,"hca":0,"bws":0.5,"lat":2}])");
+  EXPECT_NE(json.find("unknown key 'bws' for kind 'degrade'"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("did you mean 'bw'?"), std::string::npos) << json;
+
+  // Keys of another kind are refused too; far-off keys get no hint.
+  const std::string other = message("kill:node=0,hca=0,bw=0.5");
+  EXPECT_NE(other.find("unknown key 'bw' for kind 'kill'"), std::string::npos)
+      << other;
+  const std::string far = message("flaky:rate=0.1,frequency=3");
+  EXPECT_NE(far.find("(allowed: rate, burst, backoff, backoff_max, seed)"),
+            std::string::npos)
+      << far;
+  EXPECT_EQ(far.find("did you mean"), std::string::npos) << far;
+
+  EXPECT_NO_THROW(FaultPlan::parse(
+      "degrade:node=0,hca=1,t=0,bw=0.5,lat=2;"
+      "transient:rate=0.1,burst=2,backoff=1e-6,backoff_max=8e-6,seed=3"));
+}
+
 TEST(FaultPlan, ValidateChecksTopologyAndFactors) {
   EXPECT_NO_THROW(FaultPlan::parse("kill:node=1,hca=1,t=0").validate(2, 2));
   EXPECT_THROW(FaultPlan::parse("kill:node=2,hca=0,t=0").validate(2, 2),
